@@ -117,9 +117,11 @@ churn-smoke:
 
 # Differential gate for the implicit plan encoding: every round of a seeded
 # random n = 4096 plan compared bit-for-bit against the materialised
-# builder, the >=100x byte-ratio acceptance floor, and an n = 10^5 implicit
-# construction — all under GOMEMLIMIT so a space regression in either
-# encoding fails loudly.
+# builder, the >=100x byte-ratio acceptance floor, an n = 10^5 implicit
+# construction, and the round-cost gate (a ring's in-order RoundAppend cost
+# per round within 4x a random graph's at n = 4096, so per-round cost cannot
+# come to depend on tree height) — all under GOMEMLIMIT so a space
+# regression in either encoding fails loudly.
 plan-smoke:
 	GOMEMLIMIT=1GiB $(GO) run ./cmd/planbench -smoke
 
@@ -188,8 +190,9 @@ store-record:
 
 # Regenerate the BENCH_plan.json plan-encoding record: implicit O(n) plans
 # vs materialised O(n²) schedules (bytes, construction time, first-round
-# latency) at n in {1024, 4096}, plus implicit-only construction runs at
-# n in {10^5, 10^6}. The full ring/grid materialisations take minutes.
+# latency, in-order and random-offset round cost) at n in {1024, 4096},
+# plus implicit-only construction runs at n in {10^5, 10^6}. The full
+# ring/grid materialisations take minutes.
 plan-record:
 	$(GO) run ./cmd/planbench -out BENCH_plan.json
 

@@ -215,23 +215,25 @@ func (pc *PlanCache) Stats() CacheStats { return pc.c.Stats() }
 // SizeBytes reports the plan's resident size — the plancache.Sizer
 // contract, which the cache's byte bound charges instead of a flat
 // estimate. Implicit-backed ConcurrentUpDown plans cost their packed O(n)
-// arrays plus the graph snapshot: kilobytes where the materialised form
-// costs megabytes, which is what lets one cache hold thousands of
-// topologies. Materialised (Simple) plans cost the full schedule — one
-// Transmission header plus the To slice per multicast — plus the tree,
-// labels and snapshot.
+// arrays, the RoundAppend cursor (counted from insert, though it is
+// allocated on the first round query) and the graph snapshot: kilobytes
+// where the materialised form costs megabytes, which is what lets one
+// cache hold thousands of topologies. Materialised (Simple) plans cost the
+// full schedule — one Transmission header plus the To slice per multicast
+// — plus the tree, labels and snapshot.
 //
-// The size is measured once, at cache insert. An implicit-backed plan
-// that is later asked to Verify, Stats or ExecuteWithFaults materialises
-// its schedule lazily and from then on occupies more memory than the
-// cache accounted for; serving paths that only read Rounds, Round,
-// RoundAppend and TimetableOf never trigger that growth.
+// The size is measured once, at cache insert. Serving and replay paths
+// (Rounds, Round, RoundAppend, TimetableOf, Verify, ExecuteWithFaults,
+// ExecuteTraced) never grow an implicit-backed plan past it. Stats,
+// MarshalJSON and the analysis helpers materialise the schedule lazily,
+// and a plan asked for them occupies more memory than the cache accounted
+// for from then on.
 func (p *Plan) SizeBytes() int64 {
 	const word = 8
 	b := int64(p.network.N()) * 2 * word // adjacency index of the snapshot
 	b += int64(p.network.M()) * 2 * word // adjacency lists (both directions)
 	if p.imp != nil {
-		return b + p.imp.SizeBytes()
+		return b + p.imp.SizeBytes() + p.imp.CursorBytes()
 	}
 	if p.sched == nil {
 		return b + 8*word // Algebraic: the realized Result and seed only

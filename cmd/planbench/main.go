@@ -11,7 +11,11 @@
 // holding round 0's transmissions. It also reports the resident bytes of
 // both encodings and their ratio, the headline of the record: the implicit
 // plan answers the same queries bit-identically from ~28n bytes while the
-// materialised schedule stores Θ(n²) destination ids.
+// materialised schedule stores Θ(n²) destination ids. Two query costs
+// complete each row: enumerate_all_ns walks every round in order through
+// RoundAppend (the plan's cursor steps in O(n) per round), and
+// random_round_ns is the mean cost of one round at seeded random offsets
+// (most calls land too far from the cursor to step, so they seek).
 //
 // Sizes in -big run the implicit side only (the materialised schedule at
 // n = 10⁶ would be ~8 TB): a seeded random recursive tree is labelled and
@@ -23,9 +27,12 @@
 // the implicit plan is compared bit-for-bit against the materialised
 // builder, a sample of vertex timetables is checked against the
 // materialised VertexView, the ≥100x byte-ratio acceptance floor is
-// asserted, and an n = 10⁵ implicit plan is constructed and probed. The
-// Makefile runs this under GOMEMLIMIT so a space regression in either
-// encoding fails the gate.
+// asserted, and an n = 10⁵ implicit plan is constructed and probed. It
+// then enumerates every round of a ring and of that random graph at
+// n = 4096 and fails when the ring's sequential per-round cost exceeds 4x
+// the random graph's: per-round cost must not depend on tree height
+// (height 2048 against about 5). The Makefile runs this under GOMEMLIMIT
+// so a space regression in either encoding fails the gate.
 //
 //	go run ./cmd/planbench -out BENCH_plan.json
 //	GOMEMLIMIT=1GiB go run ./cmd/planbench -smoke
@@ -64,7 +71,9 @@ type record struct {
 	MaterialisedBuildNs      int64   `json:"materialised_build_ns"`
 	ImplicitFirstRoundNs     int64   `json:"implicit_first_round_ns"`
 	MaterialisedFirstRoundNs int64   `json:"materialised_first_round_ns"`
+	EnumerateAllNs           int64   `json:"enumerate_all_ns"`
 	RoundAppendNsPerRound    int64   `json:"round_append_ns_per_round"`
+	RandomRoundNs            int64   `json:"random_round_ns"`
 }
 
 type bigRecord struct {
@@ -192,13 +201,9 @@ func measure(kind string, n, reps int) record {
 	}
 	_ = first
 
-	// Steady-state query cost averaged over the whole schedule.
 	rounds := plan.Rounds()
-	start := time.Now()
-	for t := 0; t < rounds; t++ {
-		buf = plan.RoundAppend(t, buf[:0])
-	}
-	perRound := time.Since(start).Nanoseconds() / int64(rounds)
+	enumerate := best(reps, func() { enumerateAll(plan) })
+	random := randomRound(plan, 64)
 
 	ib, mb := plan.SizeBytes(), materialisedBytes(s)
 	return record{
@@ -214,8 +219,60 @@ func measure(kind string, n, reps int) record {
 		MaterialisedBuildNs:      matBuild,
 		ImplicitFirstRoundNs:     implicitFirst,
 		MaterialisedFirstRoundNs: matFirst,
-		RoundAppendNsPerRound:    perRound,
+		EnumerateAllNs:           enumerate,
+		RoundAppendNsPerRound:    enumerate / int64(rounds),
+		RandomRoundNs:            random,
 	}
+}
+
+// enumerateAll walks every round of the plan in order through RoundAppend
+// with one recycled buffer.
+func enumerateAll(p *implicit.Plan) {
+	var buf []schedule.Transmission
+	for t := 0; t < p.Rounds(); t++ {
+		buf = p.RoundAppend(t, buf[:0])
+	}
+}
+
+// randomRound returns the mean cost of RoundAppend at k seeded random
+// offsets: the access pattern of a client paging single rounds.
+func randomRound(plan *implicit.Plan, k int) int64 {
+	rng := rand.New(rand.NewSource(int64(plan.N())))
+	var buf []schedule.Transmission
+	start := time.Now()
+	for i := 0; i < k; i++ {
+		buf = plan.RoundAppend(rng.Intn(plan.Rounds()), buf[:0])
+	}
+	return time.Since(start).Nanoseconds() / int64(k)
+}
+
+// perRoundGate enumerates every round of a ring and of g at the same n
+// (best of reps) and fails when the ring's per-round cost exceeds limit
+// times g's.
+func perRoundGate(g *graph.Graph, limit float64, reps int) error {
+	perRound := func(g *graph.Graph) (float64, error) {
+		tree, err := spantree.MinDepth(g)
+		if err != nil {
+			return 0, err
+		}
+		p := implicit.New(spantree.Label(tree))
+		return float64(best(reps, func() { enumerateAll(p) })) / float64(p.Rounds()), nil
+	}
+	ring, err := perRound(graph.Cycle(g.N()))
+	if err != nil {
+		return err
+	}
+	other, err := perRound(g)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("plan-smoke: n=%d sequential RoundAppend %.0f ns/round on a ring, %.0f ns/round on a random graph (%.2fx, limit %.0fx)\n",
+		g.N(), ring, other, ring/other, limit)
+	if ring > limit*other {
+		return fmt.Errorf("ring per-round cost %.0f ns is %.1fx the random graph's %.0f ns at n=%d (limit %.0fx): round cost depends on tree height",
+			ring, ring/other, other, g.N(), limit)
+	}
+	return nil
 }
 
 func measureBig(n int) bigRecord {
@@ -289,7 +346,7 @@ func smoke() error {
 	r := measureBig(big)
 	fmt.Printf("plan-smoke: n=%d implicit construction ok in %s (%d B, %.1f B/vertex, %d rounds)\n",
 		big, time.Duration(r.BuildNs), r.ImplicitBytes, r.BytesPerVertex, r.Rounds)
-	return nil
+	return perRoundGate(g, 4, 2)
 }
 
 // treeParentsInOriginalIDs rebuilds the spanning tree's parent array in
@@ -341,13 +398,13 @@ func main() {
 
 	rep := report{
 		Tool:       "cmd/planbench",
-		Benchmark:  "implicit O(n) plan encoding vs materialised O(n²) schedule: bytes, construction, first-round latency",
+		Benchmark:  "implicit O(n) plan encoding vs materialised O(n²) schedule: bytes, construction, first-round latency, sequential and random round cost",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		GoVersion:  runtime.Version(),
 	}
-	fmt.Printf("%-8s %7s %7s %12s %14s %8s %13s %13s %12s %14s\n",
-		"topology", "n", "rounds", "impl bytes", "mat bytes", "ratio", "impl build", "mat build", "impl rd0", "mat rd0")
+	fmt.Printf("%-8s %7s %7s %12s %14s %8s %13s %13s %12s %14s %12s %12s\n",
+		"topology", "n", "rounds", "impl bytes", "mat bytes", "ratio", "impl build", "mat build", "impl rd0", "mat rd0", "seq/round", "random")
 	for _, kind := range []string{"ring", "grid", "random"} {
 		for _, n := range parseSizes("sizes", *sizes) {
 			reps := 3
@@ -356,9 +413,10 @@ func main() {
 			}
 			r := measure(kind, n, reps)
 			rep.Cases = append(rep.Cases, r)
-			fmt.Printf("%-8s %7d %7d %12d %14d %7.0fx %13d %13d %12d %14d\n",
+			fmt.Printf("%-8s %7d %7d %12d %14d %7.0fx %13d %13d %12d %14d %12d %12d\n",
 				r.Topology, r.N, r.Rounds, r.ImplicitBytes, r.MaterialisedBytes, r.BytesRatio,
-				r.ImplicitBuildNs, r.MaterialisedBuildNs, r.ImplicitFirstRoundNs, r.MaterialisedFirstRoundNs)
+				r.ImplicitBuildNs, r.MaterialisedBuildNs, r.ImplicitFirstRoundNs, r.MaterialisedFirstRoundNs,
+				r.RoundAppendNsPerRound, r.RandomRoundNs)
 		}
 	}
 	for _, n := range parseSizes("big", *big) {

@@ -227,13 +227,15 @@ func WithRepairBudget(iters int) FaultOption {
 // delivery drops, Bernoulli link loss, processor crash windows, permanent
 // dead links and crash-stop processors — with full fault propagation: a
 // processor that never received a message silently skips its scheduled
-// relays of it. It then runs the self-healing loop: compute the residual
-// deficit (which processors miss which messages), greedily synthesize
-// repair rounds that respect the communication model over any network link
-// (one multicast per sender and at most one receive per processor per
-// round), execute them under the same fault model, and iterate while
-// messages are still missing, up to the repair budget. Every synthesized
-// repair batch is re-validated against the model rules before it runs.
+// relays of it. Implicit-backed plans stream their rounds into the
+// executor and never hold the schedule. It then runs the self-healing
+// loop: compute the residual deficit (which processors miss which
+// messages), greedily synthesize repair rounds that respect the
+// communication model over any network link (one multicast per sender and
+// at most one receive per processor per round), execute them under the
+// same fault model, and iterate while messages are still missing, up to
+// the repair budget. Every synthesized repair batch is re-validated
+// against the model rules before it runs.
 //
 // Transient faults are ridden out by retrying. Permanent faults are
 // detected by suspicion tracking — consecutive failed delivery attempts
@@ -261,38 +263,43 @@ func (p *Plan) ExecuteWithFaults(opts ...FaultOption) (FaultReport, error) {
 	if cfg.validation != nil {
 		return FaultReport{}, cfg.validation
 	}
+	// A lone fault model is consulted directly: the executor asks it about
+	// every delivery, and the Compose wrapper would add a loop per question.
 	var inj fault.Injector
-	if len(cfg.injectors) > 0 {
+	switch len(cfg.injectors) {
+	case 0:
+	case 1:
+		inj = cfg.injectors[0]
+	default:
 		inj = cfg.injectors
 	}
-	s := p.schedule()
+	n := p.network.N()
 	for _, c := range cfg.injectors {
 		switch f := c.(type) {
 		case fault.CrashWindow:
-			if f.Proc >= s.N {
-				return FaultReport{}, fmt.Errorf("multigossip: crash processor %d out of range [0,%d)", f.Proc, s.N)
+			if f.Proc >= n {
+				return FaultReport{}, fmt.Errorf("multigossip: crash processor %d out of range [0,%d)", f.Proc, n)
 			}
 		case fault.DeadLink:
-			if f.U >= s.N || f.V >= s.N {
-				return FaultReport{}, fmt.Errorf("multigossip: dead link (%d, %d) out of range [0,%d)", f.U, f.V, s.N)
+			if f.U >= n || f.V >= n {
+				return FaultReport{}, fmt.Errorf("multigossip: dead link (%d, %d) out of range [0,%d)", f.U, f.V, n)
 			}
 			if !p.network.HasEdge(f.U, f.V) {
 				return FaultReport{}, fmt.Errorf("multigossip: dead link (%d, %d) is not a network link", f.U, f.V)
 			}
 		}
 	}
-	n := p.network.N()
 	progress := obs.NewProgressCollector(n, n*n)
 	ro := obs.Multi(cfg.observer, progress)
 	ro.BeginPhase("schedule", p.algo.String())
-	holds, dropped, err := fault.ExecuteTraced(p.network, s, inj, nil, 0, nil, ro)
+	holds, dropped, err := fault.ExecuteTraced(p.network, p.rounds(), inj, nil, 0, nil, ro)
 	ro.EndPhase("schedule")
 	if err != nil {
 		return FaultReport{}, err
 	}
 	rep := FaultReport{
 		Coverage:       fault.Coverage(holds),
-		ScheduleRounds: s.Time(),
+		ScheduleRounds: p.Rounds(),
 		Dropped:        dropped,
 	}
 	if !cfg.repair {
@@ -307,7 +314,7 @@ func (p *Plan) ExecuteWithFaults(opts ...FaultOption) (FaultReport, error) {
 	out, err := repair.Run(p.network, holds, repair.Options{
 		MaxIterations:       cfg.maxIters,
 		Injector:            inj,
-		RoundOffset:         s.Time(),
+		RoundOffset:         rep.ScheduleRounds,
 		Validate:            true,
 		QuarantineThreshold: cfg.quarantine,
 		Observer:            ro,

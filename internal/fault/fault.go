@@ -240,33 +240,36 @@ func ExecuteObserved(g *graph.Graph, s *schedule.Schedule, inj Injector, initial
 // BeginRound/EndRound with aggregated RoundStats and the same per-delivery
 // outcomes via Delivery. Both observers see absolute round indices
 // (roundOffset added). With both nil the executor takes the untraced fast
-// path; ExecuteInjected and ExecuteObserved delegate here.
-func ExecuteTraced(g *graph.Graph, s *schedule.Schedule, inj Injector, initial []*schedule.Bitset, roundOffset int, watch Observer, ro obs.RoundObserver) (holds []*schedule.Bitset, dropped int, err error) {
-	if g.N() != s.N {
-		return nil, 0, fmt.Errorf("fault: graph has %d processors, schedule %d", g.N(), s.N)
+// path; ExecuteInjected and ExecuteObserved delegate here. Rounds are read
+// from s in order, so a streaming source (an implicit plan's cursor) runs
+// without its schedule ever being resident.
+func ExecuteTraced(g *graph.Graph, s schedule.Source, inj Injector, initial []*schedule.Bitset, roundOffset int, watch Observer, ro obs.RoundObserver) (holds []*schedule.Bitset, dropped int, err error) {
+	n, nmsg, rounds := s.Shape()
+	if g.N() != n {
+		return nil, 0, fmt.Errorf("fault: graph has %d processors, schedule %d", g.N(), n)
 	}
 	if initial == nil {
-		if s.NMsg != s.N {
+		if nmsg != n {
 			return nil, 0, fmt.Errorf("fault: lenient executor supports the basic instance only")
 		}
-		holds = make([]*schedule.Bitset, s.N)
+		holds = make([]*schedule.Bitset, n)
 		for v := range holds {
-			holds[v] = schedule.NewBitset(s.NMsg)
+			holds[v] = schedule.NewBitset(nmsg)
 			holds[v].Set(v)
 		}
 	} else {
-		if len(initial) != s.N {
-			return nil, 0, fmt.Errorf("fault: %d initial hold sets for %d processors", len(initial), s.N)
+		if len(initial) != n {
+			return nil, 0, fmt.Errorf("fault: %d initial hold sets for %d processors", len(initial), n)
 		}
-		holds = make([]*schedule.Bitset, s.N)
+		holds = make([]*schedule.Bitset, n)
 		for v, h := range initial {
-			if h.Len() != s.NMsg {
-				return nil, 0, fmt.Errorf("fault: initial hold set %d sized %d, want %d", v, h.Len(), s.NMsg)
+			if h.Len() != nmsg {
+				return nil, 0, fmt.Errorf("fault: initial hold set %d sized %d, want %d", v, h.Len(), nmsg)
 			}
 			holds[v] = h.Clone()
 		}
 	}
-	received := make([]int, s.N) // round of last receive, -1 otherwise
+	received := make([]int, n) // round of last receive, -1 otherwise
 	for i := range received {
 		received[i] = -1
 	}
@@ -282,14 +285,19 @@ func ExecuteTraced(g *graph.Graph, s *schedule.Schedule, inj Injector, initial [
 		}
 	}
 	observed := watch != nil || ro != nil
-	for t, round := range s.Rounds {
+	// arriving buffers one round's accepted deliveries, applied after the
+	// round so sends read the hold sets of the round's start; one buffer
+	// serves every round.
+	type delivery struct{ msg, to int }
+	var arriving []delivery
+	for t := 0; t < rounds; t++ {
+		round := s.RoundAt(t)
 		abs := roundOffset + t
 		if ro != nil {
 			ro.BeginRound(abs)
 		}
 		var stats obs.RoundStats
-		type delivery struct{ msg, to int }
-		var arriving []delivery
+		arriving = arriving[:0]
 		for txIdx, tx := range round {
 			if inj != nil && inj.Down(abs, tx.From) {
 				stats.Skipped += len(tx.To)

@@ -462,3 +462,31 @@ func TestExecuteRejectsBadInput(t *testing.T) {
 		t.Fatal("accepted zero trials")
 	}
 }
+
+// TestExecuteTracedAllocsDoNotGrowWithRounds pins the executor's reused
+// arrival buffer: a schedule eight times longer, with the same round
+// repeated, must not allocate more.
+func TestExecuteTracedAllocsDoNotGrowWithRounds(t *testing.T) {
+	const n = 8
+	g := graph.Path(n)
+	repeated := func(rounds int) *schedule.Schedule {
+		s := schedule.New(n)
+		for r := 0; r < rounds; r++ {
+			for v := 0; v+1 < n; v += 2 {
+				s.AddSend(r, v, v, v+1)
+			}
+		}
+		return s
+	}
+	allocs := func(s *schedule.Schedule) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := ExecuteTraced(g, s, LinkLoss{P: 0.1, Seed: 1}, nil, 0, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(repeated(8)), allocs(repeated(64))
+	if long > short {
+		t.Fatalf("64 rounds allocate %.0f times, 8 rounds %.0f: allocations grow with the round count", long, short)
+	}
+}

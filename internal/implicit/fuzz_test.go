@@ -16,7 +16,11 @@ import (
 // the implicit plan's RoundAppend must be bit-identical to the built
 // schedule's round at a fuzzer-chosen time (including out-of-range times,
 // which must yield the empty round), and a fuzzer-chosen vertex's
-// Timetable must match the materialised VertexView.
+// Timetable must match the materialised VertexView. The same time then
+// seeds a seek-then-step sequence: a fresh cursor seeks to it and steps a
+// fuzzer-chosen number of rounds past it (resolving D2 captures it never
+// witnessed), and the plan's own RoundAppend steps alongside it; every
+// round must match the builder.
 func FuzzImplicitRound(f *testing.F) {
 	f.Add(int64(1), uint8(7), uint8(128), uint16(3), uint8(0))
 	f.Add(int64(42), uint8(0), uint8(0), uint16(0), uint8(5))
@@ -47,6 +51,22 @@ func FuzzImplicitRound(f *testing.F) {
 		if len(got) != 0 || len(want) != 0 {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d round %d:\ngot  %v\nwant %v", n, round, got, want)
+			}
+		}
+		c := plan.Cursor()
+		steps := 1 + int(vRaw>>3)%(plan.Height()+3)
+		for r := round; r <= round+steps; r++ {
+			var want []schedule.Transmission
+			if r >= 0 && r < len(s.Rounds) {
+				want = s.Rounds[r]
+			}
+			gotCursor := []schedule.Transmission(c.RoundAt(r))
+			if (len(gotCursor) != 0 || len(want) != 0) && !reflect.DeepEqual(gotCursor, want) {
+				t.Fatalf("n=%d cursor seek %d, round %d:\ngot  %v\nwant %v", n, round, r, gotCursor, want)
+			}
+			gotPlan := plan.RoundAppend(r, nil)
+			if (len(gotPlan) != 0 || len(want) != 0) && !reflect.DeepEqual(gotPlan, want) {
+				t.Fatalf("n=%d RoundAppend after %d, round %d:\ngot  %v\nwant %v", n, round, r, gotPlan, want)
 			}
 		}
 		v := int(vRaw) % n

@@ -15,12 +15,15 @@
 // only non-local rule is D1/D2 o-message forwarding: what v forwards at
 // time t is what its parent sent at time t-1, minus the messages of v's
 // own subtree, with arrivals at times i-k and i-k+1 held back to j-k+1
-// and j-k+2. downSendAt resolves that by walking up the ancestor chain —
-// one O(1) step per level, decreasing the queried time by one per hop —
-// until the query lands in an ancestor's closed-form region or falls off
-// the schedule. Chains are short in practice (each ancestor's b-region is
-// as wide as its subtree), so a full round costs O(n) plus the few hops
-// the round's in-flight o-messages need.
+// and j-k+2. That is a one-round recurrence, and a Cursor runs it: it
+// keeps each vertex's last down-send and two capture slots, so stepping to
+// the next round costs O(n) at any tree height. RoundAppend resumes a
+// cursor the plan keeps when the requested round is at or shortly after
+// it, and otherwise seeks: downSendAt resolves a single round from scratch
+// by walking up the ancestor chain — one O(1) step per level, decreasing
+// the queried time by one per hop — until the query lands in an
+// ancestor's closed-form region or falls off the schedule. The same
+// recursion answers Timetable, which needs one vertex's rows only.
 //
 // Equivalence with the materialising builder (core.BuildConcurrentUpDown)
 // is bit-exact and enforced by differential tests, property tests over the
@@ -28,8 +31,7 @@
 package implicit
 
 import (
-	"fmt"
-	"sort"
+	"sync/atomic"
 
 	"multigossip/internal/schedule"
 	"multigossip/internal/spantree"
@@ -38,7 +40,8 @@ import (
 // Plan is a compact, immutable ConcurrentUpDown plan: O(n) words total.
 // All slices are index-by-canonical-DFS-label; the vertexOf/labelOf pair
 // translates to and from the network's original identifiers. Safe for
-// concurrent use (no mutable state; all queries are pure).
+// concurrent use: the packed arrays are immutable, and the only mutable
+// state, the RoundAppend cursor, is owned by one caller at a time.
 type Plan struct {
 	n      int
 	height int
@@ -62,6 +65,11 @@ type Plan struct {
 	// inverse. Message m originates at original vertex vertexOf[m].
 	vertexOf []int32
 	labelOf  []int32
+
+	// cur is RoundAppend's cursor slot: a caller swaps the cursor out, moves
+	// it to the requested round and stores it back, so concurrent callers
+	// never share one (a caller finding the slot empty makes its own).
+	cur atomic.Pointer[Cursor]
 }
 
 // New builds the compact plan from a DFS-labelled minimum-depth tree.
@@ -162,9 +170,9 @@ func (p *Plan) Rounds() int {
 	return p.n + p.height
 }
 
-// SizeBytes reports the plan's resident size: the packed arrays plus the
-// struct header. This is the honest per-entry footprint the plan cache
-// charges for implicit-backed plans.
+// SizeBytes reports the size of the packed arrays plus the struct header.
+// The RoundAppend cursor, allocated on first use, adds CursorBytes; the
+// plan cache charges both from insert.
 func (p *Plan) SizeBytes() int64 {
 	b := int64(0)
 	b += int64(len(p.hi)+len(p.level)+len(p.parent)) * 4
@@ -204,25 +212,6 @@ func (p *Plan) owner(v, m int32) int32 {
 		}
 	}
 	return kids[lo]
-}
-
-// upSendAt evaluates Propagate-Up (U3/U4) at vertex v and time t: the
-// message v sends to its parent, or -1. Each non-root vertex sends its
-// lip-message i at time 0 (when w = 1) and every remaining b-message m in
-// [i+w .. j] at time m - k.
-func (p *Plan) upSendAt(v int32, t int) int32 {
-	if p.parent[v] < 0 {
-		return -1
-	}
-	i, j, k, w := v, p.hi[v], p.level[v], p.w(v)
-	if w == 1 && t == 0 {
-		return i
-	}
-	m := int32(t) + k
-	if m >= i+w && m <= j {
-		return m
-	}
-	return -1
 }
 
 // downSendAt evaluates Propagate-Down (D1-D3) at vertex v and time t: the
@@ -307,66 +296,20 @@ func (p *Plan) arrivalAt(v int32, t int) int32 {
 // capacity as scratch — including the To slices of elements beyond
 // len(dst), which it overwrites in place — so looping with dst = dst[:0]
 // between rounds reuses every allocation.
+//
+// Rounds come from the plan's cursor: a call at or shortly after the
+// previous call's round steps it forward in O(n) per round, and any other
+// call seeks it, at the cost of one closed-form round evaluation.
 func (p *Plan) RoundAppend(t int, dst []schedule.Transmission) []schedule.Transmission {
 	if t < 0 || t >= p.Rounds() {
 		return dst
 	}
-	for v := int32(0); v < int32(p.n); v++ {
-		up := p.upSendAt(v, t)
-		down := int32(-1)
-		if !p.isLeaf(v) {
-			down = p.downSendAt(v, t)
-		}
-		msg := up
-		if down != -1 {
-			if msg != -1 && msg != down {
-				panic(fmt.Sprintf("implicit: vertex %d emits %d and %d at %d", v, msg, down, t))
-			}
-			msg = down
-		}
-		if msg == -1 {
-			continue
-		}
-		var to []int32
-		if down != -1 {
-			kids := p.kids(v)
-			if ow := p.owner(v, msg); ow != -1 {
-				to = make([]int32, 0, len(kids))
-				for _, c := range kids {
-					if c != ow {
-						to = append(to, c)
-					}
-				}
-			} else {
-				to = kids
-			}
-		}
-		if up == -1 && len(to) == 0 {
-			continue // b-message owned by an only child: empty multicast
-		}
-		// Reuse the destination slice of the spare slot dst is about to
-		// grow into, so a caller recycling its buffer (dst = dst[:0]
-		// between rounds) reaches zero steady-state allocations.
-		var dests []int
-		if len(dst) < cap(dst) {
-			dests = dst[len(dst) : len(dst)+1][0].To[:0]
-		}
-		if cap(dests) < len(to)+1 {
-			dests = make([]int, 0, len(to)+1)
-		}
-		if up != -1 {
-			dests = append(dests, int(p.vertexOf[p.parent[v]]))
-		}
-		for _, c := range to {
-			dests = append(dests, int(p.vertexOf[c]))
-		}
-		sort.Ints(dests)
-		dst = append(dst, schedule.Transmission{
-			Msg:  int(p.vertexOf[msg]),
-			From: int(p.vertexOf[v]),
-			To:   dests,
-		})
+	c := p.cur.Swap(nil)
+	if c == nil {
+		c = p.Cursor()
 	}
+	dst = c.appendRound(t, dst)
+	p.cur.Store(c)
 	return dst
 }
 

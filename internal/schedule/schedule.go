@@ -33,6 +33,24 @@ type Schedule struct {
 	Rounds []Round
 }
 
+// Source delivers a schedule round by round to the executors (Run here,
+// fault.ExecuteTraced). Shape gives the processor and message counts and
+// the number of rounds; RoundAt returns round t's transmissions. Executors
+// call RoundAt with t = 0, 1, ..., rounds-1 in order and read each result
+// before the next call, so a source may reuse one buffer and keep O(n)
+// state (the implicit plan's cursor) instead of holding every round.
+// *Schedule is the resident source.
+type Source interface {
+	Shape() (n, nmsg, rounds int)
+	RoundAt(t int) Round
+}
+
+// Shape implements Source.
+func (s *Schedule) Shape() (n, nmsg, rounds int) { return s.N, s.NMsg, len(s.Rounds) }
+
+// RoundAt implements Source: the resident round t, not copied.
+func (s *Schedule) RoundAt(t int) Round { return s.Rounds[t] }
+
 // New returns an empty schedule for n processors and n messages.
 func New(n int) *Schedule { return &Schedule{N: n, NMsg: n} }
 

@@ -396,13 +396,16 @@ type Transmission struct {
 // ConcurrentUpDown plans are implicit-backed: the Plan holds only the O(n)
 // compact form (DFS preorder intervals, levels, lip bits and the tree
 // structure) and answers Rounds, Round, RoundAppend and TimetableOf by
-// evaluating the paper's closed-form send/receive rules on demand. The
-// Θ(n²) materialised schedule is built lazily — once, on first use — and
-// only by the operations that genuinely replay or export every delivery
-// (Verify, ExecuteWithFaults, ExecuteTraced, Stats, MarshalJSON, the
-// analysis helpers). Simple plans have no closed form and stay eagerly
-// materialised. Either way the Plan is immutable to callers and safe to
-// share between goroutines; lazy state is built under sync.Once.
+// evaluating the paper's closed-form send/receive rules on demand, through
+// a cursor that steps consecutive rounds in O(n) each. The replays —
+// Verify, ExecuteWithFaults and ExecuteTraced — stream the same cursor's
+// rounds through the executors and never hold the schedule. The Θ(n²)
+// materialised schedule is built lazily — once, on first use — only by
+// the operations that export or analyse every delivery at once (Stats,
+// MarshalJSON, the analysis helpers). The other planners have no closed
+// form and stay eagerly materialised. Either way the Plan is immutable to
+// callers and safe to share between goroutines; lazy state is built under
+// sync.Once.
 type Plan struct {
 	network *graph.Graph
 	algo    Algorithm
@@ -566,10 +569,21 @@ func (p *Plan) errNoSchedule() error {
 	return fmt.Errorf("multigossip: %v plans exchange coded packets and carry no transmission schedule", p.algo)
 }
 
+// rounds returns the plan's rounds as an executor source: a private cursor
+// over the compact form for implicit-backed plans, the resident schedule
+// otherwise. Callers must hold Schedulable().
+func (p *Plan) rounds() schedule.Source {
+	if p.imp != nil {
+		return p.imp.Cursor()
+	}
+	return p.sched
+}
+
 // schedule returns the fully materialised schedule in original vertex ids,
 // building it from the compact form on first use. Callers that can be
-// served by the closed forms (Round, RoundAppend, TimetableOf, Rounds)
-// never call this; callers that cannot must hold Schedulable().
+// served by the closed forms (Round, RoundAppend, TimetableOf, Rounds) or
+// by streaming rounds() never call this; callers that cannot must hold
+// Schedulable().
 func (p *Plan) schedule() *schedule.Schedule {
 	p.lazySched.Do(func() {
 		if p.sched != nil {
@@ -685,9 +699,10 @@ func appendTransmission(dst []Transmission, msg, from int, to []int) []Transmiss
 // Verify re-validates the plan against the communication model and checks
 // that gossiping completes; it returns nil for every plan this package
 // produces and exists so users can assert it cheaply in their own tests.
-// Verify replays every delivery, so it materialises the full schedule.
-// Algebraic plans re-simulate their seeded run and check it reproduces the
-// recorded outcome.
+// Verify replays every delivery round by round; implicit-backed plans
+// stream their rounds and hold only the n² hold bits. Algebraic plans
+// re-simulate their seeded run and check it reproduces the recorded
+// outcome.
 func (p *Plan) Verify() error {
 	if p.alg != nil {
 		res, err := algebraic.Run(p.network, algebraic.Options{Seed: p.seed})
@@ -699,7 +714,7 @@ func (p *Plan) Verify() error {
 		}
 		return nil
 	}
-	_, err := schedule.CheckGossip(p.network, p.schedule())
+	_, err := schedule.CheckGossip(p.network, p.rounds())
 	return err
 }
 
