@@ -1,14 +1,15 @@
 # Development targets. `make check` is the PR gate: vet, build, the full
 # test suite under the race detector (the sweep engine runs a worker pool on
 # every MinDepth/Radius/Diameter call, so every PR must exercise it under
-# -race), a one-iteration sweep benchmark smoke, and a small faultbench run
-# proving the fault-injection / repair pipeline end to end.
+# -race), vet and tests of the perfbench benchmark driver, a one-iteration
+# sweep benchmark smoke, and a small faultbench run proving the
+# fault-injection / repair pipeline end to end.
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race cover bench-smoke fault-smoke fuzz-smoke serve-smoke plan-smoke churn-smoke store-smoke sim-smoke matrix-smoke bench sweep-record fault-record obs-record serve-record plan-record churn-record store-record sim-record matrix-record experiments
+.PHONY: check vet staticcheck build test race cover perfbench-check bench-smoke fault-smoke fuzz-smoke serve-smoke plan-smoke churn-smoke store-smoke sim-smoke matrix-smoke bench sweep-record fault-record obs-record serve-record plan-record churn-record store-record sim-record matrix-record experiments
 
-check: vet staticcheck build race cover bench-smoke fault-smoke fuzz-smoke serve-smoke plan-smoke churn-smoke store-smoke sim-smoke matrix-smoke
+check: vet staticcheck build race cover perfbench-check bench-smoke fault-smoke fuzz-smoke serve-smoke plan-smoke churn-smoke store-smoke sim-smoke matrix-smoke
 
 vet:
 	$(GO) vet ./...
@@ -43,6 +44,13 @@ cover:
 	echo "total coverage: $$total% (floor $(COVER_MIN)%)"; \
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit !(t+0 >= min+0) }' || \
 		{ echo "coverage $$total% fell below the $(COVER_MIN)% baseline"; exit 1; }
+
+# The benchmark driver is its own module (perfbench/, which replaces
+# multigossip with this checkout), so ./... above never builds it. Vet and
+# test it here so an internal API change it compiles against cannot break
+# the benchmark unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of every Sweep* benchmark: proves the naive and pruned paths
 # still run and agree without paying full measurement time.
@@ -155,7 +163,7 @@ fault-record:
 	$(GO) run ./cmd/faultbench -out BENCH_fault.json
 
 # Regenerate the BENCH_obs.json observability-overhead record (untraced vs
-# nil-observer vs sink-attached execution on a ring at n = 1024).
+# sink-attached fault execution on a ring at n = 1024).
 obs-record:
 	$(GO) run ./cmd/obsbench -out BENCH_obs.json
 

@@ -238,14 +238,7 @@ func (p *Plan) SizeBytes() int64 {
 	if p.sched == nil {
 		return b + 8*word // Algebraic: the realized Result and seed only
 	}
-	s := p.sched
-	b += int64(len(s.Rounds)) * 3 * word // round slice headers
-	for _, r := range s.Rounds {
-		b += int64(len(r)) * 5 * word // Msg, From, To header
-		for _, tx := range r {
-			b += int64(len(tx.To)) * word
-		}
-	}
+	b += p.sched.SizeBytes()
 	b += int64(p.network.N()) * 6 * word // parents, levels, labels, ecc
 	return b
 }

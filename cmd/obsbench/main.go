@@ -2,14 +2,13 @@
 // the result in a machine-readable perf record (BENCH_obs.json by default).
 //
 // On a ring of -n processors it builds the ConcurrentUpDown plan once and
-// times the fault executor under Bernoulli link loss in five
-// configurations: the plain untraced entry point (fault.ExecuteInjected),
-// the traced entry point with a nil observer (the refactored hot path all
-// executions now share — the record asserts it prices identically to
-// untraced), and with the three shipped sinks attached: a
-// ProgressCollector (per-round curve only), a Tracer (timeline + atomic
-// outcome totals) and an Instrument-ed metrics Registry. The fault-free
-// validator (schedule.Run) is timed untraced and observed too.
+// times the fault executor (fault.ExecuteTraced) under Bernoulli link loss
+// in four configurations: untraced (both observers nil, the fast path
+// every execution without a sink takes), and with the three shipped sinks
+// attached: a ProgressCollector (per-round curve only), a Tracer
+// (timeline + atomic outcome totals) and an Instrument-ed metrics
+// Registry; each sink row reports its overhead over the untraced row. The
+// fault-free validator (schedule.Run) is timed untraced and observed too.
 //
 //	go run ./cmd/obsbench -out BENCH_obs.json
 package main
@@ -99,16 +98,11 @@ func main() {
 	// Fault executor family. Every traced case reuses one long-lived sink,
 	// the way a bench harness or server would.
 	untraced := bench("fault/untraced", 0, func() {
-		if _, _, err := fault.ExecuteInjected(g, s, inj, nil, 0); err != nil {
+		if _, _, err := fault.ExecuteTraced(g, s, inj, nil, 0, nil, nil); err != nil {
 			panic(err)
 		}
 	})
 	rep.Cases = append(rep.Cases, untraced)
-	rep.Cases = append(rep.Cases, bench("fault/nil-observer", untraced.NsOp, func() {
-		if _, _, err := fault.ExecuteTraced(g, s, inj, nil, 0, nil, nil); err != nil {
-			panic(err)
-		}
-	}))
 	progress := obs.NewProgressCollector(*n, *n**n)
 	rep.Cases = append(rep.Cases, bench("fault/progress", untraced.NsOp, func() {
 		if _, _, err := fault.ExecuteTraced(g, s, inj, nil, 0, nil, progress); err != nil {

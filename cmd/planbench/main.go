@@ -122,20 +122,6 @@ func randomRecursiveParents(rng *rand.Rand, n int) []int {
 	return parent
 }
 
-// materialisedBytes applies the cache accounting to a schedule: the round
-// slice headers, the transmission structs, and every destination id.
-func materialisedBytes(s *schedule.Schedule) int64 {
-	const word = 8
-	b := int64(len(s.Rounds)) * 3 * word
-	for _, r := range s.Rounds {
-		b += int64(len(r)) * 5 * word
-		for _, tx := range r {
-			b += int64(len(tx.To)) * word
-		}
-	}
-	return b
-}
-
 // best times f reps times and returns the fastest run in nanoseconds.
 func best(reps int, f func()) int64 {
 	fastest := int64(math.MaxInt64)
@@ -205,7 +191,7 @@ func measure(kind string, n, reps int) record {
 	enumerate := best(reps, func() { enumerateAll(plan) })
 	random := randomRound(plan, 64)
 
-	ib, mb := plan.SizeBytes(), materialisedBytes(s)
+	ib, mb := plan.SizeBytes(), s.SizeBytes()
 	return record{
 		Topology:                 kind,
 		N:                        g.N(),
@@ -335,7 +321,7 @@ func smoke() error {
 			return fmt.Errorf("timetable of vertex %d diverges from the materialised view", v)
 		}
 	}
-	ib, mb := plan.SizeBytes(), materialisedBytes(s)
+	ib, mb := plan.SizeBytes(), s.SizeBytes()
 	if ratio := mb / ib; ratio < 100 {
 		return fmt.Errorf("materialised/implicit byte ratio %dx fell below the 100x floor (implicit %d, materialised %d)", ratio, ib, mb)
 	}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 
 	"multigossip/internal/fault"
+	"multigossip/internal/graph"
 	"multigossip/internal/obs"
 	"multigossip/internal/repair"
+	"multigossip/internal/schedule"
 )
 
 // FaultReport summarises one faulty execution of a plan and the repair
@@ -256,6 +258,15 @@ func (p *Plan) ExecuteWithFaults(opts ...FaultOption) (FaultReport, error) {
 	if !p.Schedulable() {
 		return FaultReport{}, p.errNoSchedule()
 	}
+	return executeWithFaults(p.network, p.rounds(), nil, p.algo.String(), opts)
+}
+
+// executeWithFaults is the fault pipeline behind both front ends: it runs
+// src on g under the configured faults, reporting a "schedule" phase
+// labelled phase, then repairs the residual deficit unless disabled. n,
+// the message count and the schedule length come from src.Shape();
+// initial gives the starting hold sets, nil for the basic instance.
+func executeWithFaults(g *graph.Graph, src schedule.Source, initial []*schedule.Bitset, phase string, opts []FaultOption) (FaultReport, error) {
 	cfg := faultConfig{repair: true}
 	for _, o := range opts {
 		o(&cfg)
@@ -273,7 +284,7 @@ func (p *Plan) ExecuteWithFaults(opts ...FaultOption) (FaultReport, error) {
 	default:
 		inj = cfg.injectors
 	}
-	n := p.network.N()
+	n, nmsg, rounds := src.Shape()
 	for _, c := range cfg.injectors {
 		switch f := c.(type) {
 		case fault.CrashWindow:
@@ -284,22 +295,22 @@ func (p *Plan) ExecuteWithFaults(opts ...FaultOption) (FaultReport, error) {
 			if f.U >= n || f.V >= n {
 				return FaultReport{}, fmt.Errorf("multigossip: dead link (%d, %d) out of range [0,%d)", f.U, f.V, n)
 			}
-			if !p.network.HasEdge(f.U, f.V) {
+			if !g.HasEdge(f.U, f.V) {
 				return FaultReport{}, fmt.Errorf("multigossip: dead link (%d, %d) is not a network link", f.U, f.V)
 			}
 		}
 	}
-	progress := obs.NewProgressCollector(n, n*n)
+	progress := obs.NewProgressCollector(n, n*nmsg)
 	ro := obs.Multi(cfg.observer, progress)
-	ro.BeginPhase("schedule", p.algo.String())
-	holds, dropped, err := fault.ExecuteTraced(p.network, p.rounds(), inj, nil, 0, nil, ro)
+	ro.BeginPhase("schedule", phase)
+	holds, dropped, err := fault.ExecuteTraced(g, src, inj, initial, 0, nil, ro)
 	ro.EndPhase("schedule")
 	if err != nil {
 		return FaultReport{}, err
 	}
 	rep := FaultReport{
 		Coverage:       fault.Coverage(holds),
-		ScheduleRounds: p.Rounds(),
+		ScheduleRounds: rounds,
 		Dropped:        dropped,
 	}
 	if !cfg.repair {
@@ -311,7 +322,7 @@ func (p *Plan) ExecuteWithFaults(opts ...FaultOption) (FaultReport, error) {
 		return rep, nil
 	}
 	ro.BeginPhase("repair", "")
-	out, err := repair.Run(p.network, holds, repair.Options{
+	out, err := repair.Run(g, holds, repair.Options{
 		MaxIterations:       cfg.maxIters,
 		Injector:            inj,
 		RoundOffset:         rep.ScheduleRounds,

@@ -206,12 +206,13 @@ const (
 // and processors (suspicion) without peeking inside the injector.
 type Observer func(absRound, from, to, msg int, outcome DeliveryOutcome)
 
-// ExecuteInjected is the general lenient executor. Scheduled transmissions
-// of messages the sender does not hold — or whose sender is crashed — are
-// skipped (the fault has propagated), deliveries the injector drops or
-// whose receiver is crashed are lost in flight, and same-round receiver
-// conflicts (possible only after upstream faults or in hand-built
-// schedules) discard the later message rather than erroring.
+// ExecuteTraced is the lenient fault executor, the one every faulty
+// execution runs through. Scheduled transmissions of messages the sender
+// does not hold — or whose sender is crashed — are skipped (the fault has
+// propagated), deliveries the injector drops or whose receiver is crashed
+// are lost in flight, and same-round receiver conflicts (possible only
+// after upstream faults or in hand-built schedules) discard the later
+// message rather than erroring. A nil inj runs fault-free.
 //
 // initial gives the starting hold sets (cloned, not modified); nil means
 // the basic gossiping instance — processor p holds exactly message p —
@@ -219,30 +220,18 @@ type Observer func(absRound, from, to, msg int, outcome DeliveryOutcome)
 // before the injector is consulted, so repair rounds appended after a
 // T-round schedule run with offset T and see absolute round numbers.
 //
+// watch (if non-nil) is called once for every destination of every
+// scheduled transmission with the outcome of that delivery, and ro (if
+// non-nil) receives the structured round events of the observability
+// layer — BeginRound/EndRound with aggregated RoundStats and the same
+// per-delivery outcomes via Delivery. Both observers see absolute round
+// indices. With both nil the executor takes the untraced fast path. Rounds
+// are read from s in order, so a streaming source (an implicit plan's
+// cursor) runs without its schedule ever being resident.
+//
 // It returns the final hold sets and the number of deliveries lost in
 // flight (skipped transmissions send nothing, so their deliveries are not
 // counted as drops).
-func ExecuteInjected(g *graph.Graph, s *schedule.Schedule, inj Injector, initial []*schedule.Bitset, roundOffset int) (holds []*schedule.Bitset, dropped int, err error) {
-	return ExecuteTraced(g, s, inj, initial, roundOffset, nil, nil)
-}
-
-// ExecuteObserved is ExecuteInjected with a per-delivery Observer: watch
-// (if non-nil) is called once for every destination of every scheduled
-// transmission with the outcome of that delivery. Execution semantics and
-// return values are identical to ExecuteInjected.
-func ExecuteObserved(g *graph.Graph, s *schedule.Schedule, inj Injector, initial []*schedule.Bitset, roundOffset int, watch Observer) (holds []*schedule.Bitset, dropped int, err error) {
-	return ExecuteTraced(g, s, inj, initial, roundOffset, watch, nil)
-}
-
-// ExecuteTraced is the fully observed executor: watch (if non-nil) receives
-// the per-delivery outcomes as in ExecuteObserved, and ro (if non-nil)
-// receives the structured round events of the observability layer —
-// BeginRound/EndRound with aggregated RoundStats and the same per-delivery
-// outcomes via Delivery. Both observers see absolute round indices
-// (roundOffset added). With both nil the executor takes the untraced fast
-// path; ExecuteInjected and ExecuteObserved delegate here. Rounds are read
-// from s in order, so a streaming source (an implicit plan's cursor) runs
-// without its schedule ever being resident.
 func ExecuteTraced(g *graph.Graph, s schedule.Source, inj Injector, initial []*schedule.Bitset, roundOffset int, watch Observer, ro obs.RoundObserver) (holds []*schedule.Bitset, dropped int, err error) {
 	n, nmsg, rounds := s.Shape()
 	if g.N() != n {
@@ -377,18 +366,6 @@ func Coverage(holds []*schedule.Bitset) float64 {
 	return float64(got) / float64(len(holds)*holds[0].Len())
 }
 
-// Execute runs s on g leniently with the listed deliveries lost in flight;
-// see ExecuteInjected for the execution semantics. It returns per-processor
-// hold sets and the achieved coverage: the fraction of (processor, message)
-// pairs held at the end.
-func Execute(g *graph.Graph, s *schedule.Schedule, dropped map[DeliveryID]bool) (holds []*schedule.Bitset, coverage float64, err error) {
-	holds, _, err = ExecuteInjected(g, s, DropSet(dropped), nil, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	return holds, Coverage(holds), nil
-}
-
 // CriticalityReport summarises a single-drop sweep.
 type CriticalityReport struct {
 	Deliveries int     // total deliveries in the schedule
@@ -405,7 +382,7 @@ func Criticality(g *graph.Graph, s *schedule.Schedule) (CriticalityReport, error
 		for txIdx, tx := range round {
 			for _, d := range tx.To {
 				rep.Deliveries++
-				holds, _, err := Execute(g, s, map[DeliveryID]bool{{t, txIdx, d}: true})
+				holds, _, err := ExecuteTraced(g, s, DropSet{{t, txIdx, d}: true}, nil, 0, nil, nil)
 				if err != nil {
 					return rep, err
 				}
@@ -436,7 +413,7 @@ func RandomLoss(g *graph.Graph, s *schedule.Schedule, p float64, trials int, rng
 	}
 	sum := 0.0
 	for trial := 0; trial < trials; trial++ {
-		dropped := make(map[DeliveryID]bool)
+		dropped := make(DropSet)
 		for t, round := range s.Rounds {
 			for txIdx, tx := range round {
 				for _, d := range tx.To {
@@ -446,11 +423,11 @@ func RandomLoss(g *graph.Graph, s *schedule.Schedule, p float64, trials int, rng
 				}
 			}
 		}
-		_, cov, err := Execute(g, s, dropped)
+		holds, _, err := ExecuteTraced(g, s, dropped, nil, 0, nil, nil)
 		if err != nil {
 			return 0, err
 		}
-		sum += cov
+		sum += Coverage(holds)
 	}
 	return sum / float64(trials), nil
 }

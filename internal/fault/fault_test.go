@@ -22,11 +22,21 @@ func buildBoth(t *testing.T, g *graph.Graph) (cud, simple *coreResult) {
 
 type coreResult struct{ *core.Result }
 
+// runDrops executes s on g with exactly the listed deliveries lost in
+// flight and returns the final hold sets with their coverage.
+func runDrops(g *graph.Graph, s *schedule.Schedule, dropped DropSet) ([]*schedule.Bitset, float64, error) {
+	holds, _, err := ExecuteTraced(g, s, dropped, nil, 0, nil, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	return holds, Coverage(holds), nil
+}
+
 func TestExecuteNoFaultsMatchesValidator(t *testing.T) {
 	g := graph.Fig4()
 	cud, simple := buildBoth(t, g)
 	for _, res := range []*coreResult{cud, simple} {
-		holds, cov, err := Execute(g, res.Schedule, nil)
+		holds, cov, err := runDrops(g, res.Schedule, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +105,7 @@ func TestFaultPropagation(t *testing.T) {
 	if !found {
 		t.Fatal("no round-0 transmission")
 	}
-	_, cov, err := Execute(g, cud.Schedule, map[DeliveryID]bool{id: true})
+	_, cov, err := runDrops(g, cud.Schedule, DropSet{id: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +152,7 @@ func TestExecuteDoubleReceiveDiscardsLater(t *testing.T) {
 	s := schedule.New(3)
 	s.AddSend(0, 0, 0, 1) // t=0: 0 -> {1} : m0
 	s.AddSend(0, 2, 2, 1) // t=0: 2 -> {1} : m2, conflicting at receiver 1
-	holds, cov, err := Execute(g, s, nil)
+	holds, cov, err := runDrops(g, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +165,7 @@ func TestExecuteDoubleReceiveDiscardsLater(t *testing.T) {
 	// The discarded message must also not have blocked the slot for later
 	// rounds: a retry in round 1 lands.
 	s.AddSend(1, 2, 2, 1)
-	holds, _, err = Execute(g, s, nil)
+	holds, _, err = runDrops(g, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +182,13 @@ func TestDropOfPropagationSkippedDelivery(t *testing.T) {
 	s := schedule.New(3)
 	s.AddSend(0, 0, 0, 1) // t=0: 0 -> {1} : m0
 	s.AddSend(1, 0, 1, 2) // t=1: 1 -> {2} : m0 (skipped once t=0 is dropped)
-	first := map[DeliveryID]bool{{0, 0, 1}: true}
-	both := map[DeliveryID]bool{{0, 0, 1}: true, {1, 0, 2}: true}
-	_, covFirst, err := Execute(g, s, first)
+	first := DropSet{{0, 0, 1}: true}
+	both := DropSet{{0, 0, 1}: true, {1, 0, 2}: true}
+	_, covFirst, err := runDrops(g, s, first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, covBoth, err := Execute(g, s, both)
+	_, covBoth, err := runDrops(g, s, both)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +197,7 @@ func TestDropOfPropagationSkippedDelivery(t *testing.T) {
 	}
 	// And the skipped delivery must not be billed as dropped: only the
 	// round-0 delivery was in flight.
-	_, dropped, err := ExecuteInjected(g, s, DropSet(both), nil, 0)
+	_, dropped, err := ExecuteTraced(g, s, both, nil, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +213,11 @@ func TestExecuteRejectsWeightedInstance(t *testing.T) {
 	g := graph.Path(3)
 	s := schedule.NewWithMessages(3, 2)
 	s.AddSend(0, 0, 0, 1)
-	if _, _, err := Execute(g, s, nil); err == nil {
+	if _, _, err := runDrops(g, s, nil); err == nil {
 		t.Fatal("accepted NMsg != N")
 	}
-	if _, _, err := ExecuteInjected(g, s, nil, nil, 0); err == nil {
-		t.Fatal("ExecuteInjected accepted NMsg != N without initial holds")
+	if _, _, err := ExecuteTraced(g, s, nil, nil, 0, nil, nil); err == nil {
+		t.Fatal("ExecuteTraced accepted NMsg != N without initial holds")
 	}
 	// With explicit initial holds of the right shape it is accepted.
 	initial := make([]*schedule.Bitset, 3)
@@ -215,11 +225,11 @@ func TestExecuteRejectsWeightedInstance(t *testing.T) {
 		initial[i] = schedule.NewBitset(2)
 	}
 	initial[0].Set(0)
-	if _, _, err := ExecuteInjected(g, s, nil, initial, 0); err != nil {
+	if _, _, err := ExecuteTraced(g, s, nil, initial, 0, nil, nil); err != nil {
 		t.Fatalf("rejected explicit initial holds: %v", err)
 	}
 	initial[1] = schedule.NewBitset(5)
-	if _, _, err := ExecuteInjected(g, s, nil, initial, 0); err == nil {
+	if _, _, err := ExecuteTraced(g, s, nil, initial, 0, nil, nil); err == nil {
 		t.Fatal("accepted initial hold set of the wrong capacity")
 	}
 }
@@ -265,7 +275,7 @@ func TestCrashWindow(t *testing.T) {
 	s.AddSend(1, 1, 1, 2) // t=1: 1 -> {2} : m1   (1 is down: skipped)
 	s.AddSend(2, 1, 1, 0) // t=2: 1 -> {0} : m1   (1 is back: delivered)
 	inj := CrashWindow{Proc: 1, From: 0, To: 2}
-	holds, dropped, err := ExecuteInjected(g, s, inj, nil, 0)
+	holds, dropped, err := ExecuteTraced(g, s, inj, nil, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +293,7 @@ func TestCrashWindow(t *testing.T) {
 	}
 	// With offset 2 the whole schedule runs at absolute rounds 2..4, past
 	// the window: nothing is lost.
-	holds, dropped, err = ExecuteInjected(g, s, inj, nil, 2)
+	holds, dropped, err = ExecuteTraced(g, s, inj, nil, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +326,7 @@ func TestDeadLink(t *testing.T) {
 	s.AddSend(0, 1, 1, 2) // t=0: 1 -> {2} : m1 — dropped (dead link)
 	s.AddSend(1, 1, 1, 2) // t=1: retry — dropped again
 	s.AddSend(2, 1, 1, 0) // t=2: 1 -> {0} : m1 — live link, delivered
-	holds, dropped, err := ExecuteInjected(g, s, inj, nil, 0)
+	holds, dropped, err := ExecuteTraced(g, s, inj, nil, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,10 +361,11 @@ func TestCrashStop(t *testing.T) {
 	}
 }
 
-// TestExecuteObservedOutcomes: the observer sees every delivery exactly
-// once with the correct attribution — delivered, lost in flight, receiver
-// down, sender down, and the non-attributable sender-missing skip.
-func TestExecuteObservedOutcomes(t *testing.T) {
+// TestExecuteTracedWatchOutcomes: the per-delivery watch sees every
+// delivery exactly once with the correct attribution — delivered, lost in
+// flight, receiver down, sender down, and the non-attributable
+// sender-missing skip.
+func TestExecuteTracedWatchOutcomes(t *testing.T) {
 	g := graph.Path(4)
 	s := schedule.New(4)
 	s.AddSend(0, 0, 0, 1) // t=0: 0 -> {1} : m0  — lost in flight (DropSet)
@@ -372,9 +383,9 @@ func TestExecuteObservedOutcomes(t *testing.T) {
 		outcome              DeliveryOutcome
 	}
 	var got []event
-	holds, dropped, err := ExecuteObserved(g, s, inj, nil, 0, func(r, f, to, m int, o DeliveryOutcome) {
+	holds, dropped, err := ExecuteTraced(g, s, inj, nil, 0, func(r, f, to, m int, o DeliveryOutcome) {
 		got = append(got, event{r, f, to, m, o})
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,11 +412,11 @@ func TestExecuteObservedOutcomes(t *testing.T) {
 	}
 	// The observer must see round numbers shifted by the offset.
 	var first event
-	_, _, err = ExecuteObserved(g, s, inj, nil, 10, func(r, f, to, m int, o DeliveryOutcome) {
+	_, _, err = ExecuteTraced(g, s, inj, nil, 10, func(r, f, to, m int, o DeliveryOutcome) {
 		if first == (event{}) {
 			first = event{r, f, to, m, o}
 		}
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,17 +425,17 @@ func TestExecuteObservedOutcomes(t *testing.T) {
 	}
 }
 
-// TestExecuteObservedSuperseded: a same-round receiver conflict reports the
+// TestExecuteTracedWatchSuperseded: a same-round receiver conflict reports the
 // discarded later arrival as Superseded.
-func TestExecuteObservedSuperseded(t *testing.T) {
+func TestExecuteTracedWatchSuperseded(t *testing.T) {
 	g := graph.Complete(3)
 	s := schedule.New(3)
 	s.AddSend(0, 0, 0, 1)
 	s.AddSend(0, 2, 2, 1)
 	var outcomes []DeliveryOutcome
-	_, _, err := ExecuteObserved(g, s, nil, nil, 0, func(_, _, _, _ int, o DeliveryOutcome) {
+	_, _, err := ExecuteTraced(g, s, nil, nil, 0, func(_, _, _, _ int, o DeliveryOutcome) {
 		outcomes = append(outcomes, o)
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +463,7 @@ func TestComposeUnions(t *testing.T) {
 func TestExecuteRejectsBadInput(t *testing.T) {
 	g := graph.Path(3)
 	cud, _ := buildBoth(t, graph.Path(4))
-	if _, _, err := Execute(g, cud.Schedule, nil); err == nil {
+	if _, _, err := runDrops(g, cud.Schedule, nil); err == nil {
 		t.Fatal("accepted size mismatch")
 	}
 	if _, err := RandomLoss(graph.Path(4), cud.Schedule, -0.1, 5, rand.New(rand.NewSource(1))); err == nil {

@@ -29,7 +29,7 @@ func (r *roundRecorder) EndRound(abs int, s obs.RoundStats) {
 func (r *roundRecorder) Delivery(int, int, int, int, obs.Outcome) { r.deliveries++ }
 
 // TestExecuteTracedRoundStats replays the mixed-outcome scenario of
-// TestExecuteObservedOutcomes through the RoundObserver side and checks
+// TestExecuteTracedWatchOutcomes through the RoundObserver side and checks
 // the aggregated per-round stats attribute every delivery correctly, under
 // an absolute round offset.
 func TestExecuteTracedRoundStats(t *testing.T) {

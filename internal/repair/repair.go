@@ -208,7 +208,7 @@ type Outcome struct {
 }
 
 // Run repairs the deficit of holds on network g: it iterates PlanRounds
-// and fault.ExecuteObserved under opts until every processor holds every
+// and fault.ExecuteTraced under opts until every processor holds every
 // message it can still get. Transient loss is ridden out by retrying;
 // permanent faults are detected by the suspicion tracker (consecutive
 // failed attempts per link and per processor) and quarantined, after which

@@ -189,7 +189,7 @@ func TestRepairEverySingleDrop(t *testing.T) {
 			for txIdx, tx := range round {
 				for _, d := range tx.To {
 					drop := fault.DropSet{{Round: tr, Tx: txIdx, Dest: d}: true}
-					holds, dropped, err := fault.ExecuteInjected(g, res.Schedule, drop, nil, 0)
+					holds, dropped, err := fault.ExecuteTraced(g, res.Schedule, drop, nil, 0, nil, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -226,7 +226,7 @@ func TestRepairUnderLossyRepairRounds(t *testing.T) {
 	for name, g := range namedGraphs() {
 		res := buildCUD(t, g)
 		inj := fault.LinkLoss{P: 0.01, Seed: 7}
-		holds, _, err := fault.ExecuteInjected(g, res.Schedule, inj, nil, 0)
+		holds, _, err := fault.ExecuteTraced(g, res.Schedule, inj, nil, 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,7 +42,7 @@ func TestRunDeadLinkEveryTopology(t *testing.T) {
 		res := buildCUD(t, g)
 		e := g.Edges()[0]
 		inj := fault.DeadLink{U: e.U, V: e.V}
-		holds, _, err := fault.ExecuteInjected(g, res.Schedule, inj, nil, 0)
+		holds, _, err := fault.ExecuteTraced(g, res.Schedule, inj, nil, 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestRunDeadLinkPartition(t *testing.T) {
 	e := graph.Edge{U: 3, V: 4}
 	res := buildCUD(t, g)
 	inj := fault.DeadLink{U: e.U, V: e.V}
-	holds, _, err := fault.ExecuteInjected(g, res.Schedule, inj, nil, 0)
+	holds, _, err := fault.ExecuteTraced(g, res.Schedule, inj, nil, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestRunCrashStopEveryProcessor(t *testing.T) {
 		res := buildCUD(t, g)
 		for v := 0; v < n; v++ {
 			inj := fault.CrashStop(v, 0)
-			holds, _, err := fault.ExecuteInjected(g, res.Schedule, inj, nil, 0)
+			holds, _, err := fault.ExecuteTraced(g, res.Schedule, inj, nil, 0, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,7 +246,7 @@ func TestRunStallExit(t *testing.T) {
 	g := graph.Path(5)
 	res := buildCUD(t, g)
 	inj := fault.DeadLink{U: 2, V: 3}
-	holds, _, err := fault.ExecuteInjected(g, res.Schedule, inj, nil, 0)
+	holds, _, err := fault.ExecuteTraced(g, res.Schedule, inj, nil, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestRunQuarantineThresholdOne(t *testing.T) {
 	g := graph.Cycle(6)
 	res := buildCUD(t, g)
 	inj := fault.DeadLink{U: 0, V: 1}
-	holds, _, err := fault.ExecuteInjected(g, res.Schedule, inj, nil, 0)
+	holds, _, err := fault.ExecuteTraced(g, res.Schedule, inj, nil, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestRunTransientLossNeverQuarantines(t *testing.T) {
 	for name, g := range namedGraphs() {
 		res := buildCUD(t, g)
 		inj := fault.LinkLoss{P: 0.01, Seed: 7}
-		holds, _, err := fault.ExecuteInjected(g, res.Schedule, inj, nil, 0)
+		holds, _, err := fault.ExecuteTraced(g, res.Schedule, inj, nil, 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,6 +63,21 @@ func NewWithMessages(n, nmsg int) *Schedule { return &Schedule{N: n, NMsg: nmsg}
 // sent at round T-1 arrives at time T).
 func (s *Schedule) Time() int { return len(s.Rounds) }
 
+// SizeBytes is the resident size the plan cache charges for s, in 8-byte
+// words: a slice header per round, a Transmission (Msg, From and the To
+// header) per multicast, and every destination id.
+func (s *Schedule) SizeBytes() int64 {
+	const word = 8
+	b := int64(len(s.Rounds)) * 3 * word
+	for _, r := range s.Rounds {
+		b += int64(len(r)) * 5 * word
+		for _, tx := range r {
+			b += int64(len(tx.To)) * word
+		}
+	}
+	return b
+}
+
 // AddSend records that processor from multicasts msg to the destinations
 // during round t, growing the schedule as needed. Destinations are stored
 // sorted. It panics on an empty destination set so silent no-ops cannot

@@ -54,6 +54,19 @@ func TestAddSendGrowsAndSorts(t *testing.T) {
 	}
 }
 
+// TestSizeBytes pins the cache's schedule charge: three words per round,
+// five per multicast, one per destination.
+func TestSizeBytes(t *testing.T) {
+	s := New(4)
+	s.AddSend(0, 0, 0, 1, 2)
+	s.AddSend(0, 3, 3, 0)
+	s.AddSend(2, 1, 1, 0)
+	// 3 rounds, 3 multicasts, 4 destinations.
+	if got, want := s.SizeBytes(), int64(8*(3*3+3*5+4)); got != want {
+		t.Fatalf("SizeBytes = %d, want %d", got, want)
+	}
+}
+
 func TestAddSendEmptyDestPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

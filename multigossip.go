@@ -721,8 +721,12 @@ func (p *Plan) Verify() error {
 // TimetableOf renders processor v's schedule in the format of the paper's
 // Tables 1-4 (receive/send rows against parent and children in the
 // spanning tree). Implicit-backed plans evaluate only v's own rows from
-// the closed forms — O(rounds) work, no materialisation.
+// the closed forms — O(rounds) work, no materialisation. A processor
+// outside [0, n) renders a note instead.
 func (p *Plan) TimetableOf(v int) string {
+	if n := p.network.N(); v < 0 || v >= n {
+		return noProcessorNote(v, n)
+	}
 	if p.imp != nil {
 		return trace.FormatTimetable(p.imp.Timetable(v))
 	}
@@ -734,6 +738,12 @@ func (p *Plan) TimetableOf(v int) string {
 	}
 	tree, _ := p.treeLabeled()
 	return trace.FormatTimetable(schedule.VertexView(p.sched, tree, v))
+}
+
+// noProcessorNote is the TimetableOf note for a processor v outside a
+// network of n processors.
+func noProcessorNote(v, n int) string {
+	return fmt.Sprintf("(no timetable: no processor %d in a network of %d)", v, n)
 }
 
 // TreeString renders the spanning tree the plan communicates over,

@@ -1,6 +1,7 @@
 package multigossip
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -411,5 +412,39 @@ func TestRoundOutOfRange(t *testing.T) {
 	}
 	if len(plan.Round(0)) == 0 {
 		t.Fatal("round 0 should have transmissions")
+	}
+}
+
+// TestTimetableOfOutOfRange: every schedulable plan, and the weighted
+// plan, answers a processor outside [0, n) with a note instead of
+// panicking or rendering an empty table.
+func TestTimetableOfOutOfRange(t *testing.T) {
+	nw := Ring(8)
+	timetables := map[string]func(int) string{}
+	for _, info := range Algorithms() {
+		if !info.Schedulable {
+			continue
+		}
+		plan, err := nw.PlanGossip(WithAlgorithm(info.ID))
+		if err != nil {
+			t.Fatalf("%s: %v", info.Name, err)
+		}
+		timetables[info.Name] = plan.TimetableOf
+	}
+	wp, err := nw.PlanWeightedGossip([]int{1, 2, 1, 1, 3, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	timetables["WeightedPlan"] = wp.TimetableOf
+	for name, timetableOf := range timetables {
+		for _, v := range []int{-1, 8, 99} {
+			want := fmt.Sprintf("(no timetable: no processor %d in a network of 8)", v)
+			if got := timetableOf(v); got != want {
+				t.Errorf("%s: TimetableOf(%d) = %q, want %q", name, v, got, want)
+			}
+		}
+		if got := timetableOf(7); strings.HasPrefix(got, "(no timetable") {
+			t.Errorf("%s: TimetableOf(7) = %q, want a table", name, got)
+		}
 	}
 }

@@ -4,10 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"multigossip/internal/fault"
 	"multigossip/internal/graph"
-	"multigossip/internal/obs"
-	"multigossip/internal/repair"
 	"multigossip/internal/schedule"
 	"multigossip/internal/trace"
 	"multigossip/internal/weighted"
@@ -88,8 +85,12 @@ func (p *WeightedPlan) RoundAppend(t int, dst []Transmission) []Transmission {
 
 // TimetableOf renders processor v's rows of the contracted schedule. The
 // contraction has no per-vertex tree role (chain-internal hops are
-// mimicked away), so the flat send/receive view is used.
+// mimicked away), so the flat send/receive view is used. A processor
+// outside [0, n) renders a note instead.
 func (p *WeightedPlan) TimetableOf(v int) string {
+	if n := p.network.N(); v < 0 || v >= n {
+		return noProcessorNote(v, n)
+	}
 	return trace.FormatTimetable(schedule.FlatView(p.plan.Schedule, v))
 }
 
@@ -114,15 +115,7 @@ func (p *WeightedPlan) Verify() error {
 func (p *WeightedPlan) SizeBytes() int64 {
 	const word = 8
 	b := int64(p.network.N())*2*word + int64(p.network.M())*2*word
-	for _, s := range []*schedule.Schedule{p.plan.Schedule, p.plan.Expanded} {
-		b += int64(len(s.Rounds)) * 3 * word
-		for _, r := range s.Rounds {
-			b += int64(len(r)) * 5 * word
-			for _, tx := range r {
-				b += int64(len(tx.To)) * word
-			}
-		}
-	}
+	b += p.plan.Schedule.SizeBytes() + p.plan.Expanded.SizeBytes()
 	b += int64(len(p.plan.MsgOwner)) * word
 	return b
 }
@@ -136,85 +129,5 @@ func (p *WeightedPlan) SizeBytes() int64 {
 // initial holds) reuses it unchanged; coverage fractions are over
 // Processors() x TotalMessages() pairs.
 func (p *WeightedPlan) ExecuteWithFaults(opts ...FaultOption) (FaultReport, error) {
-	cfg := faultConfig{repair: true}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.validation != nil {
-		return FaultReport{}, cfg.validation
-	}
-	var inj fault.Injector
-	if len(cfg.injectors) > 0 {
-		inj = cfg.injectors
-	}
-	s := p.plan.Schedule
-	for _, c := range cfg.injectors {
-		switch f := c.(type) {
-		case fault.CrashWindow:
-			if f.Proc >= s.N {
-				return FaultReport{}, fmt.Errorf("multigossip: crash processor %d out of range [0,%d)", f.Proc, s.N)
-			}
-		case fault.DeadLink:
-			if f.U >= s.N || f.V >= s.N {
-				return FaultReport{}, fmt.Errorf("multigossip: dead link (%d, %d) out of range [0,%d)", f.U, f.V, s.N)
-			}
-			if !p.network.HasEdge(f.U, f.V) {
-				return FaultReport{}, fmt.Errorf("multigossip: dead link (%d, %d) is not a network link", f.U, f.V)
-			}
-		}
-	}
-	n := p.network.N()
-	progress := obs.NewProgressCollector(n, n*p.plan.TotalMessages)
-	ro := obs.Multi(cfg.observer, progress)
-	ro.BeginPhase("schedule", "Weighted")
-	holds, dropped, err := fault.ExecuteTraced(p.network, s, inj, p.plan.InitialHolds(), 0, nil, ro)
-	ro.EndPhase("schedule")
-	if err != nil {
-		return FaultReport{}, err
-	}
-	rep := FaultReport{
-		Coverage:       fault.Coverage(holds),
-		ScheduleRounds: s.Time(),
-		Dropped:        dropped,
-	}
-	if !cfg.repair {
-		rep.FinalCoverage = rep.Coverage
-		rep.ReachableCoverage = rep.Coverage
-		rep.TotalRounds = rep.ScheduleRounds
-		rep.Complete = repair.MissingPairs(holds) == 0
-		rep.ProgressCurve = progress.Curve()
-		return rep, nil
-	}
-	ro.BeginPhase("repair", "")
-	out, err := repair.Run(p.network, holds, repair.Options{
-		MaxIterations:       cfg.maxIters,
-		Injector:            inj,
-		RoundOffset:         s.Time(),
-		Validate:            true,
-		QuarantineThreshold: cfg.quarantine,
-		Observer:            ro,
-	})
-	ro.EndPhase("repair")
-	if err != nil {
-		return FaultReport{}, err
-	}
-	rep.Dropped += out.Dropped
-	rep.Repaired = out.Repaired
-	rep.RepairRounds = out.Rounds
-	rep.RepairIterations = out.Iterations
-	rep.TotalRounds = rep.ScheduleRounds + out.Rounds
-	rep.FinalCoverage = fault.Coverage(out.Holds)
-	rep.Complete = out.Complete
-	rep.ReachableCoverage = out.ReachableCoverage
-	for _, pr := range out.Unreachable {
-		rep.Unreachable = append(rep.Unreachable, Pair{Processor: pr.Processor, Message: pr.Message})
-	}
-	for _, e := range out.QuarantinedLinks {
-		rep.QuarantinedLinks = append(rep.QuarantinedLinks, Link{U: e.U, V: e.V})
-	}
-	rep.DownProcessors = out.DownProcessors
-	rep.Components = out.Components
-	rep.Stalled = out.Stalled
-	rep.ProgressCurve = progress.Curve()
-	return rep, nil
+	return executeWithFaults(p.network, p.plan.Schedule, p.plan.InitialHolds(), Weighted.String(), opts)
 }

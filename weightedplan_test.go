@@ -1,6 +1,9 @@
 package multigossip
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -145,5 +148,66 @@ func TestWeightedPlanErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestWeightedPlanMatchesWeightedAlgorithm: with unit counts the weighted
+// front end and a Plan built with WithAlgorithm(Weighted) run one fault
+// pipeline, so under every fault option, with and without repair, they
+// return deep-equal FaultReports and emit the same observer events.
+func TestWeightedPlanMatchesWeightedAlgorithm(t *testing.T) {
+	nets := map[string]*Network{
+		"ring":   Ring(12),
+		"mesh":   Mesh(4, 5),
+		"random": RandomNetwork(rand.New(rand.NewSource(40)), 40, 0.1),
+	}
+	for name, nw := range nets {
+		plan, err := nw.PlanGossip(WithAlgorithm(Weighted))
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := make([]int, nw.Processors())
+		for v := range counts {
+			counts[v] = 1
+		}
+		wp, err := nw.PlanWeightedGossip(counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := plan.Round(2)[0]
+		relay := plan.Round(plan.Rounds() / 2)[0].From
+		faults := map[string][]FaultOption{
+			"none":       nil,
+			"dropped":    {WithDroppedDelivery(2, 0, tx.To[0])},
+			"loss":       {WithLinkLoss(0.05, 11)},
+			"window":     {WithCrashWindow(relay, 2, 6)},
+			"crash-stop": {WithCrashStop(relay, 3)},
+			"dead-link":  {WithDeadLink(tx.From, tx.To[0])},
+		}
+		for fname, opts := range faults {
+			for _, repair := range []bool{true, false} {
+				label := fmt.Sprintf("%s/%s/repair=%v", name, fname, repair)
+				run := func(execute func(...FaultOption) (FaultReport, error)) (FaultReport, []string) {
+					var log eventLog
+					o := append(append([]FaultOption(nil), opts...), WithObserver(&log))
+					if !repair {
+						o = append(o, WithoutRepair())
+					}
+					rep, err := execute(o...)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					return rep, log.events
+				}
+				got, gotEvents := run(wp.ExecuteWithFaults)
+				want, wantEvents := run(plan.ExecuteWithFaults)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: WeightedPlan report differs from the Weighted plan's\ngot  %+v\nwant %+v", label, got, want)
+				}
+				if !reflect.DeepEqual(gotEvents, wantEvents) {
+					t.Fatalf("%s: WeightedPlan emitted %d events, the Weighted plan %d, or a different sequence", label, len(gotEvents), len(wantEvents))
+				}
+			}
+		}
 	}
 }
