@@ -29,8 +29,10 @@ build:
 test:
 	$(GO) test ./...
 
+# internal/expt alone runs for 9-10 minutes under -race on 2 CPUs, at go
+# test's default 10-minute limit, so the race run gets a longer one.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # Atomic-mode coverage over the library packages (cmd/ mains and examples/
 # are exercised by the smokes, not unit tests) with a floor at the recorded

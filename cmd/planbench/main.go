@@ -15,7 +15,8 @@
 // complete each row: enumerate_all_ns walks every round in order through
 // RoundAppend (the plan's cursor steps in O(n) per round), and
 // random_round_ns is the mean cost of one round at seeded random offsets
-// (most calls land too far from the cursor to step, so they seek).
+// (most calls land too far from the cursor to step, so they seek, in
+// O(n log h)).
 //
 // Sizes in -big run the implicit side only (the materialised schedule at
 // n = 10⁶ would be ~8 TB): a seeded random recursive tree is labelled and
@@ -31,8 +32,10 @@
 // then enumerates every round of a ring and of that random graph at
 // n = 4096 and fails when the ring's sequential per-round cost exceeds 4x
 // the random graph's: per-round cost must not depend on tree height
-// (height 2048 against about 5). The Makefile runs this under GOMEMLIMIT
-// so a space regression in either encoding fails the gate.
+// (height 2048 against about 5). Last, it fails when a ring-4096 round at
+// a seeded random offset (a seek) costs more than 32x an in-order round.
+// The Makefile runs this under GOMEMLIMIT so a space regression in either
+// encoding fails the gate.
 //
 //	go run ./cmd/planbench -out BENCH_plan.json
 //	GOMEMLIMIT=1GiB go run ./cmd/planbench -smoke
@@ -232,31 +235,47 @@ func randomRound(plan *implicit.Plan, k int) int64 {
 	return time.Since(start).Nanoseconds() / int64(k)
 }
 
-// perRoundGate enumerates every round of a ring and of g at the same n
-// (best of reps) and fails when the ring's per-round cost exceeds limit
-// times g's.
-func perRoundGate(g *graph.Graph, limit float64, reps int) error {
-	perRound := func(g *graph.Graph) (float64, error) {
-		tree, err := spantree.MinDepth(g)
-		if err != nil {
-			return 0, err
-		}
-		p := implicit.New(spantree.Label(tree))
-		return float64(best(reps, func() { enumerateAll(p) })) / float64(p.Rounds()), nil
-	}
-	ring, err := perRound(graph.Cycle(g.N()))
+// planOf builds the implicit plan of g's minimum-depth spanning tree.
+func planOf(g *graph.Graph) (*implicit.Plan, error) {
+	tree, err := spantree.MinDepth(g)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	other, err := perRound(g)
-	if err != nil {
-		return err
-	}
+	return implicit.New(spantree.Label(tree)), nil
+}
+
+// perRound is the sequential per-round cost of p in ns (best of reps).
+func perRound(p *implicit.Plan, reps int) float64 {
+	return float64(best(reps, func() { enumerateAll(p) })) / float64(p.Rounds())
+}
+
+// perRoundGate fails when the ring's sequential per-round cost exceeds
+// limit times other's (plans of the same n, best of reps).
+func perRoundGate(ring, other *implicit.Plan, limit float64, reps int) error {
+	r, o := perRound(ring, reps), perRound(other, reps)
 	fmt.Printf("plan-smoke: n=%d sequential RoundAppend %.0f ns/round on a ring, %.0f ns/round on a random graph (%.2fx, limit %.0fx)\n",
-		g.N(), ring, other, ring/other, limit)
-	if ring > limit*other {
+		ring.N(), r, o, r/o, limit)
+	if r > limit*o {
 		return fmt.Errorf("ring per-round cost %.0f ns is %.1fx the random graph's %.0f ns at n=%d (limit %.0fx): round cost depends on tree height",
-			ring, ring/other, other, g.N(), limit)
+			r, r/o, o, ring.N(), limit)
+	}
+	return nil
+}
+
+// randomRoundGate fails when a round at a seeded random offset costs more
+// than limit times an in-order round of the same plan (best of reps
+// each): a seek must stay within a small factor of a step at any height.
+func randomRoundGate(p *implicit.Plan, limit float64, reps int) error {
+	seq := perRound(p, reps)
+	random := math.MaxFloat64
+	for i := 0; i < reps; i++ {
+		random = min(random, float64(randomRound(p, 64)))
+	}
+	fmt.Printf("plan-smoke: n=%d height %d RoundAppend %.0f ns at a random offset, %.0f ns in order (%.2fx, limit %.0fx)\n",
+		p.N(), p.Height(), random, seq, random/seq, limit)
+	if random > limit*seq {
+		return fmt.Errorf("random-offset round %.0f ns is %.1fx the in-order round's %.0f ns at n=%d, height %d (limit %.0fx): seeks depend on tree height",
+			random, random/seq, seq, p.N(), p.Height(), limit)
 	}
 	return nil
 }
@@ -332,7 +351,14 @@ func smoke() error {
 	r := measureBig(big)
 	fmt.Printf("plan-smoke: n=%d implicit construction ok in %s (%d B, %.1f B/vertex, %d rounds)\n",
 		big, time.Duration(r.BuildNs), r.ImplicitBytes, r.BytesPerVertex, r.Rounds)
-	return perRoundGate(g, 4, 2)
+	ring, err := planOf(graph.Cycle(n))
+	if err != nil {
+		return err
+	}
+	if err := perRoundGate(ring, plan, 4, 2); err != nil {
+		return err
+	}
+	return randomRoundGate(ring, 32, 2)
 }
 
 // treeParentsInOriginalIDs rebuilds the spanning tree's parent array in

@@ -138,24 +138,6 @@ func (g *Graph) Components() [][]int {
 	return comps
 }
 
-// ComponentDiameter returns the largest distance realised within any
-// connected component: the diameter for a connected graph, and the worst
-// per-component diameter for a disconnected one (unreachable pairs are
-// ignored, so it never panics). Package repair uses it to size repair
-// batches over survivor subgraphs, which are disconnected exactly when a
-// partition has occurred. The empty graph has component diameter 0.
-func (g *Graph) ComponentDiameter() int {
-	diam := 0
-	for v := 0; v < g.N(); v++ {
-		for _, d := range g.BFS(v) {
-			if d > diam {
-				diam = d
-			}
-		}
-	}
-	return diam
-}
-
 // Eccentricity returns the greatest distance from v to any vertex.
 // It panics if the graph is disconnected, because eccentricity is undefined
 // there and every algorithm in this module requires connectivity.

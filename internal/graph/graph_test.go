@@ -507,6 +507,20 @@ func TestN1IsEightRing(t *testing.T) {
 	}
 }
 
+// naiveComponentDiameter is the test oracle for ComponentDiameter: a
+// slice-based BFS from every vertex, folding the largest finite distance.
+func naiveComponentDiameter(g *Graph) int {
+	diam := 0
+	for v := 0; v < g.N(); v++ {
+		for _, d := range g.BFS(v) {
+			if d > diam {
+				diam = d
+			}
+		}
+	}
+	return diam
+}
+
 func TestComponentDiameter(t *testing.T) {
 	cases := []struct {
 		name string
@@ -536,6 +550,43 @@ func TestComponentDiameter(t *testing.T) {
 		if got := c.g.ComponentDiameter(); got != c.want {
 			t.Errorf("%s: ComponentDiameter() = %d, want %d", c.name, got, c.want)
 		}
+		if got := naiveComponentDiameter(c.g); got != c.want {
+			t.Errorf("%s: naive oracle = %d, want %d", c.name, got, c.want)
+		}
+	}
+	// Partitioned graphs: seeded random graphs and grids with a random share
+	// of their edges deleted, which splits most of them and isolates some
+	// vertices, against the naive n-BFS oracle.
+	rng := rand.New(rand.NewSource(91))
+	for trial := 0; trial < 40; trial++ {
+		var g *Graph
+		if trial%2 == 0 {
+			g = RandomConnected(rng, 2+rng.Intn(120), rng.Float64()*0.1)
+		} else {
+			g = Grid(2+rng.Intn(8), 2+rng.Intn(8))
+		}
+		edges := g.Edges()
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		for _, e := range edges[:rng.Intn(len(edges)+1)] {
+			g.RemoveEdge(e.U, e.V)
+		}
+		if got, want := g.ComponentDiameter(), naiveComponentDiameter(g); got != want {
+			t.Errorf("trial %d (%d components): ComponentDiameter() = %d, naive %d", trial, len(g.Components()), got, want)
+		}
+	}
+	// Two components where the smaller one is the wider: a 9-path beside a
+	// 20-clique.
+	wide := New(29)
+	for v := 0; v < 8; v++ {
+		wide.AddEdge(v, v+1)
+	}
+	for u := 9; u < 29; u++ {
+		for v := u + 1; v < 29; v++ {
+			wide.AddEdge(u, v)
+		}
+	}
+	if got := wide.ComponentDiameter(); got != 8 {
+		t.Errorf("path beside clique: ComponentDiameter() = %d, want 8", got)
 	}
 	// On connected graphs it must agree with Diameter.
 	for _, g := range []*Graph{Path(9), Cycle(10), Grid(3, 5), Petersen()} {

@@ -359,6 +359,47 @@ func (g *Graph) Sweep(mode SweepMode) (*SweepResult, error) {
 	return res, nil
 }
 
+// ComponentDiameter returns the largest distance realised within any
+// connected component: the diameter for a connected graph, and the worst
+// per-component diameter for a disconnected one (unreachable pairs are
+// ignored, so it never panics). Package repair uses it to size repair
+// batches over survivor subgraphs, which are disconnected exactly when a
+// partition has occurred. The empty graph has component diameter 0.
+//
+// It runs one traversal per vertex on the sweep engine — the CSR snapshot,
+// epoch-stamped scratch and a GOMAXPROCS worker pool. A traversal reaches
+// only its own component, so the greatest eccentricity any of them reports
+// is the worst component's diameter; no connectivity check is needed.
+func (g *Graph) ComponentDiameter() int {
+	n := g.N()
+	if n == 0 {
+		return 0
+	}
+	c := newCSR(g)
+	workers := max(1, min(runtime.GOMAXPROCS(0), n))
+	var (
+		nextRoot atomic.Int64
+		diam     atomic.Int32
+		wg       sync.WaitGroup
+	)
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := newSweepScratch(n)
+			best := int32(0)
+			for i := nextRoot.Add(1) - 1; i < int64(n); i = nextRoot.Add(1) - 1 {
+				ecc, _, _ := sc.bfs(c, int32(i), noCutoff)
+				best = max(best, ecc)
+			}
+			for cur := diam.Load(); best > cur && !diam.CompareAndSwap(cur, best); cur = diam.Load() {
+			}
+		}()
+	}
+	wg.Wait()
+	return int(diam.Load())
+}
+
 // lowestArgmax returns the lowest index holding the maximum value.
 func lowestArgmax(d []int32) int {
 	arg := 0

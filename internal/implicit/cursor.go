@@ -2,35 +2,29 @@ package implicit
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"multigossip/internal/schedule"
 )
 
-// unknown marks a D2 capture slot whose arrival happened before the
-// cursor's last seek: the cursor did not witness it, so the release
-// resolves it on demand through arrivalAt.
-const unknown = -2
-
 // Cursor walks a plan's rounds holding exactly the state of the D1/D2
 // recurrence over the packed arrays: per vertex, the message it multicast
-// toward its children in the held round (which is what each child hears
-// next round) and the at most two o-messages it captured at times i-k and
-// i-k+1. Up-sends and b-message sends stay closed-form. Advancing one
-// round is therefore O(n) whatever the tree height, where evaluating a
-// round from scratch walks ancestor chains (O(n·h) on deep trees).
+// toward its children in the held round, which is what each child hears
+// next round. Up-sends, b-message sends and the D2 releases (constants of
+// the plan) stay closed-form. Advancing one round is therefore O(n)
+// whatever the tree height; a seek evaluates a round from scratch along
+// the diagonals in O(n log h).
 //
 // A Cursor is a schedule.Source: RoundAt(t) steps forward when t is at or
-// shortly after the held round and seeks otherwise, so a sequential scan
-// costs O(n) per round and a random round costs one closed-form
-// evaluation. A Cursor is not safe for concurrent use; Plan.RoundAppend
-// keeps one per plan in an atomically swapped slot.
+// shortly after the held round and seeks otherwise. A Cursor is not safe
+// for concurrent use; Plan.RoundAppend keeps one per plan in an
+// atomically swapped slot.
 type Cursor struct {
 	p *Plan
 	t int // held round: down holds its down-sends; -1 before round 0
 
-	down       []int32 // down[v]: what v multicast to its children in round t, or -1
-	cap0, cap1 []int32 // D2 captures at i-k and i-k+1: a message, -1, or unknown
+	down []int32 // down[v]: what v multicast to its children in round t, or -1
 
 	// A leaf sends exactly once, up at time i-k (time 0 when it is a lip),
 	// so the round loops visit the inner vertices and only the leaves whose
@@ -40,17 +34,21 @@ type Cursor struct {
 	leaves []int32
 	next   int
 
-	buf []schedule.Transmission // RoundAt's recycled round
+	stack []link                  // the seek's ancestor stack, made on the first seek
+	buf   []schedule.Transmission // RoundAt's recycled round
 }
 
-// Cursor returns a fresh cursor positioned before round 0. It allocates
-// CursorBytes; the plan itself is not touched.
+// Cursor returns a fresh cursor positioned before round 0. The first
+// cursor of a plan also builds the plan's release table.
 func (p *Plan) Cursor() *Cursor {
+	p.release()
 	c := &Cursor{
 		p:    p,
+		t:    -1,
 		down: make([]int32, p.n),
-		cap0: make([]int32, p.n),
-		cap1: make([]int32, p.n),
+	}
+	for v := range c.down {
+		c.down[v] = -1
 	}
 	// Inner vertices ascending, then the sending leaves by send time: the
 	// lips (all at time 0), then the other leaves in label order, which is
@@ -73,7 +71,6 @@ func (p *Plan) Cursor() *Cursor {
 		}
 	}
 	c.leaves = ids[len(c.inner):]
-	c.seek(-1)
 	return c
 }
 
@@ -86,9 +83,14 @@ func (p *Plan) leafTime(v int32) int {
 	return int(v - p.level[v])
 }
 
-// CursorBytes is the resident size of one Cursor's state (its round buffer
-// excluded): four int32 words per vertex plus the header.
-func (p *Plan) CursorBytes() int64 { return int64(4*p.n)*4 + 3*8 + 6*24 }
+// CursorBytes is the resident size of the plan's round-generation state:
+// one Cursor (its down-sends, vertex lists and seek stack; the round buffer
+// excluded) plus the release table the plan's cursors share — two int32
+// words per vertex, two more per vertex after the leftmost path, the O(h)
+// stack and the headers.
+func (p *Plan) CursorBytes() int64 {
+	return int64(p.n)*8 + int64(int32(p.n)-p.leftmostEnd()-1)*8 + stackBytes(p.height) + 4*8 + 6*24
+}
 
 // Shape implements schedule.Source.
 func (c *Cursor) Shape() (n, nmsg, rounds int) { return c.p.n, c.p.n, c.p.Rounds() }
@@ -110,12 +112,11 @@ func (c *Cursor) appendRound(t int, dst []schedule.Transmission) []schedule.Tran
 	return c.appendHeld(dst)
 }
 
-// moveTo makes t the held round. Stepping costs O(n) per round and a seek
-// about one closed-form round evaluation, whose ancestor walks are bounded
-// by the tree height; so the cursor steps while the gap is within the
-// height and seeks beyond it, or backwards.
+// moveTo makes t the held round. A step costs O(n) and a seek O(n log h)
+// with a larger constant (see seekSteps), so the cursor steps over short
+// forward gaps and seeks over long ones, or backwards.
 func (c *Cursor) moveTo(t int) {
-	if t < c.t || t-c.t > c.p.height+1 {
+	if t < c.t || t-c.t > seekSteps(c.p.height) {
 		c.seek(t)
 		return
 	}
@@ -124,20 +125,29 @@ func (c *Cursor) moveTo(t int) {
 	}
 }
 
+// seekSteps is the forward gap, in rounds, beyond which a seek is cheaper
+// than stepping. A seek's per-vertex searches grow with log h; measured on
+// 2 CPUs at n = 1024 and 4096, a seek costs about 3 steps at height 4-5,
+// 5 at height 32-64 and 7-11 at height 512-2048.
+func seekSteps(h int) int { return 2 + bits.Len(uint(h))/2 }
+
 // seek makes t the held round by evaluating every down-send of round t
-// from the closed forms. Captures made at or before t are left unknown and
-// resolved if their release is reached.
+// along the diagonals: the inner vertices ascend in preorder, so each one's
+// ancestors are the stack entries below its own.
 func (c *Cursor) seek(t int) {
 	p := c.p
-	for v := int32(0); v < int32(p.n); v++ {
-		c.down[v] = -1
-		if t >= 0 {
-			c.down[v] = p.downSendAt(v, t)
-		}
-		c.cap0[v], c.cap1[v] = unknown, unknown
-	}
 	c.t = t
 	c.next = sort.Search(len(c.leaves), func(i int) bool { return p.leafTime(c.leaves[i]) >= t })
+	if c.stack == nil {
+		c.stack = newStack(p.height)
+	}
+	s := c.stack
+	for _, v := range c.inner {
+		k := p.level[v]
+		x := int(k) + 1
+		p.push(s, x, v)
+		c.down[v] = p.sendOn(s, x, x, int32(t)-k)
+	}
 }
 
 // step advances the held round by one. Vertices are visited children
@@ -165,49 +175,27 @@ func (c *Cursor) step() {
 	}
 }
 
-// downNext is downSendAt for non-leaf v at time u, given the arrival in
-// from its parent at u; it records D2 captures as it passes them.
+// downNext is the down-send of non-leaf v at time u, given the arrival
+// in from its parent at u.
 func (c *Cursor) downNext(v int32, u int, in int32) int32 {
 	p := c.p
 	i, j, k := v, p.hi[v], p.level[v]
 	bLo, bHi := int(i-k), int(j-k)
-	if u >= bLo && u <= bHi {
-		if i != k {
-			switch u {
-			case bLo:
-				c.cap0[v] = in
-			case bLo + 1:
-				c.cap1[v] = in
-			}
-		}
+	switch {
+	case u >= bLo && u <= bHi:
+		// D3: b-message u + k; the leftmost path's s-message is relocated
+		// to bHi+1. Arrivals at i-k and i-k+1 wait for D2, whose releases
+		// the plan's table already holds.
 		if m := int32(u) + k; m != i || i != k {
 			return m
 		}
-		return -1 // the leftmost path's s-message, relocated to bHi+1
+		return -1
+	case i == k && u == bHi+1:
+		return i
+	case i != k && (u == bHi+1 || u == bHi+2):
+		return p.released(v, int32(u-(bHi+1))) // D1 forward, else D2 release
 	}
-	if i == k {
-		if u == bHi+1 {
-			return i
-		}
-		return in
-	}
-	if in != -1 {
-		return in
-	}
-	if u == bHi+1 || u == bHi+2 {
-		if c.cap0[v] == unknown {
-			c.cap0[v] = p.arrivalAt(v, bLo)
-		}
-		if c.cap1[v] == unknown {
-			c.cap1[v] = p.arrivalAt(v, bLo+1)
-		}
-		queue := [2]int32{c.cap0[v], c.cap1[v]}
-		if queue[0] == -1 {
-			queue = [2]int32{queue[1], -1}
-		}
-		return queue[u-(bHi+1)]
-	}
-	return -1
+	return in // D1: forward what arrived
 }
 
 // appendHeld appends the held round's transmissions to dst in original

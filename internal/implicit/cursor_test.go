@@ -297,3 +297,83 @@ func TestRoundAppendConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestRoundAppendShuffledDifferential pages every round of ring, line,
+// grid and random-graph plans through one plan's RoundAppend in shuffled
+// order, then at every forward stride from 1 to 16 rounds, against the
+// materialising builder. Heights run from 1 to 100 and the strides cross
+// the step-or-seek threshold of every one of them (it grows with log h),
+// so the cursor both steps and seeks from every kind of position.
+func TestRoundAppendShuffledDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(58))
+	graphs := map[string]*graph.Graph{
+		"ring200": graph.Cycle(200), "ring57": graph.Cycle(57), "line150": graph.Path(150),
+		"grid12x13": graph.Grid(12, 13), "star40": graph.Star(40),
+		"random120": graph.RandomConnected(rng, 120, 0.05), "random200": graph.RandomConnected(rng, 200, 0.015),
+	}
+	for name, g := range graphs {
+		tree, err := spantree.MinDepth(g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		l := spantree.Label(tree)
+		s := oracle(l)
+		p := implicit.New(l)
+		rounds := p.Rounds()
+		order := rng.Perm(rounds)
+		for stride := 1; stride <= 16; stride++ {
+			for r := rng.Intn(stride); r < rounds; r += stride {
+				order = append(order, r)
+			}
+		}
+		var buf []schedule.Transmission
+		for _, r := range order {
+			buf = p.RoundAppend(r, buf[:0])
+			if want := oracleRound(s, r); !sameRound(buf, want) {
+				t.Fatalf("%s (height %d): RoundAppend(%d):\ngot  %v\nwant %v", name, tree.Height, r, buf, want)
+			}
+		}
+	}
+}
+
+// TestRandomRoundsConcurrentDeepPlan pages seeded random rounds of one
+// deep plan (a ring of 400, height 200) from several goroutines, half
+// through the plan's shared RoundAppend slot and half through private
+// cursors, starting on a fresh plan so the first cursors build the release
+// table under contention. Run under -race; every round must match the
+// builder.
+func TestRandomRoundsConcurrentDeepPlan(t *testing.T) {
+	tree, err := spantree.MinDepth(graph.Cycle(400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := spantree.Label(tree)
+	s := oracle(l)
+	p := implicit.New(l)
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			var c *implicit.Cursor
+			if g%2 == 1 {
+				c = p.Cursor()
+			}
+			var buf []schedule.Transmission
+			for i := 0; i < 60; i++ {
+				r := rng.Intn(p.Rounds())
+				if c != nil {
+					buf = append(buf[:0], c.RoundAt(r)...)
+				} else {
+					buf = p.RoundAppend(r, buf[:0])
+				}
+				if !sameRound(buf, oracleRound(s, r)) {
+					t.Errorf("goroutine %d: round %d diverges from the builder", g, r)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

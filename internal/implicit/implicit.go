@@ -16,14 +16,15 @@
 // time t is what its parent sent at time t-1, minus the messages of v's
 // own subtree, with arrivals at times i-k and i-k+1 held back to j-k+1
 // and j-k+2. That is a one-round recurrence, and a Cursor runs it: it
-// keeps each vertex's last down-send and two capture slots, so stepping to
-// the next round costs O(n) at any tree height. RoundAppend resumes a
-// cursor the plan keeps when the requested round is at or shortly after
-// it, and otherwise seeks: downSendAt resolves a single round from scratch
-// by walking up the ancestor chain — one O(1) step per level, decreasing
-// the queried time by one per hop — until the query lands in an
-// ancestor's closed-form region or falls off the schedule. The same
-// recursion answers Timetable, which needs one vertex's rows only.
+// keeps each vertex's last down-send, so stepping to the next round costs
+// O(n) at any tree height. The recurrence keeps t - k fixed from parent to
+// child, so a round can also be evaluated from scratch along those
+// diagonals (diagonal.go): one preorder pass with an ancestor stack
+// answers every vertex in O(log h), and the two messages each vertex
+// releases under D2 are constants of the plan, computed once. RoundAppend
+// resumes a cursor the plan keeps when the requested round is at or
+// shortly after it, and otherwise seeks it that way; Timetable answers one
+// vertex's rows from the same stack over its ancestors.
 //
 // Equivalence with the materialising builder (core.BuildConcurrentUpDown)
 // is bit-exact and enforced by differential tests, property tests over the
@@ -31,6 +32,7 @@
 package implicit
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"multigossip/internal/schedule"
@@ -40,8 +42,9 @@ import (
 // Plan is a compact, immutable ConcurrentUpDown plan: O(n) words total.
 // All slices are index-by-canonical-DFS-label; the vertexOf/labelOf pair
 // translates to and from the network's original identifiers. Safe for
-// concurrent use: the packed arrays are immutable, and the only mutable
-// state, the RoundAppend cursor, is owned by one caller at a time.
+// concurrent use: the packed arrays are immutable, the release table is
+// built once behind a sync.Once, and the RoundAppend cursor is owned by
+// one caller at a time.
 type Plan struct {
 	n      int
 	height int
@@ -70,6 +73,12 @@ type Plan struct {
 	// it to the requested round and stores it back, so concurrent callers
 	// never share one (a caller finding the slot empty makes its own).
 	cur atomic.Pointer[Cursor]
+
+	// rel is the D2 release table of the vertices from relBase on (see
+	// release), built once by the first cursor or timetable.
+	relOnce sync.Once
+	relBase int32
+	rel     []int32
 }
 
 // New builds the compact plan from a DFS-labelled minimum-depth tree.
@@ -171,8 +180,8 @@ func (p *Plan) Rounds() int {
 }
 
 // SizeBytes reports the size of the packed arrays plus the struct header.
-// The RoundAppend cursor, allocated on first use, adds CursorBytes; the
-// plan cache charges both from insert.
+// The round-generation state, allocated on first use, adds CursorBytes;
+// the plan cache charges both from insert.
 func (p *Plan) SizeBytes() int64 {
 	b := int64(0)
 	b += int64(len(p.hi)+len(p.level)+len(p.parent)) * 4
@@ -214,80 +223,6 @@ func (p *Plan) owner(v, m int32) int32 {
 	return kids[lo]
 }
 
-// downSendAt evaluates Propagate-Down (D1-D3) at vertex v and time t: the
-// message v multicasts toward its children, or -1. Leaves never send down.
-//
-// The b-message schedule (D3) is local: message m in [i..j] goes out at
-// time m - k, except that on the leftmost DFS path (i == k) the s-message
-// i is relocated to time j - k + 1 — at the root this is the paper's
-// "message 0 at time n". o-message forwarding (D1/D2) recurses on what the
-// parent sent one round earlier; arrivals at the D3-busy slots i-k and
-// i-k+1 are held and re-emitted at j-k+1 and j-k+2 in arrival order.
-func (p *Plan) downSendAt(v int32, t int) int32 {
-	if t < 0 || p.isLeaf(v) {
-		return -1
-	}
-	i, j, k := v, p.hi[v], p.level[v]
-	bLo, bHi := int(i-k), int(j-k)
-	if t >= bLo && t <= bHi {
-		m := int32(t) + k
-		if m != i || i != k {
-			return m
-		}
-		// i == k at t == i-k: the s-message is relocated below; nothing
-		// else can occupy this slot (the paper guarantees no o-message
-		// arrives while the leftmost path is in its opening round).
-		return -1
-	}
-	if i == k {
-		if t == bHi+1 {
-			return i // relocated s-message (root: message 0 at time n)
-		}
-		// Leftmost-path vertices never capture arrivals, so everything
-		// else is a plain pass-through forward.
-		return p.arrivalAt(v, t)
-	}
-	if in := p.arrivalAt(v, t); in != -1 {
-		// D1: an o-message received at time t is forwarded at time t. The
-		// capture slots i-k and i-k+1 lie inside the b-region and were
-		// returned above, so any arrival seen here forwards immediately.
-		return in
-	}
-	if t == bHi+1 || t == bHi+2 {
-		// D2: release the messages captured at i-k and i-k+1, in arrival
-		// order, at j-k+1 and j-k+2.
-		first := p.arrivalAt(v, bLo)
-		second := p.arrivalAt(v, bLo+1)
-		queue := [2]int32{-1, -1}
-		qn := 0
-		if first != -1 {
-			queue[qn] = first
-			qn++
-		}
-		if second != -1 {
-			queue[qn] = second
-			qn++
-		}
-		return queue[t-(bHi+1)]
-	}
-	return -1
-}
-
-// arrivalAt returns the o-message v receives from its parent at time t, or
-// -1: the parent's down-send of round t-1, unless that message belongs to
-// v's own subtree (D3 excludes the owner child from the destination set).
-func (p *Plan) arrivalAt(v int32, t int) int32 {
-	par := p.parent[v]
-	if par < 0 || t <= 0 {
-		return -1
-	}
-	m := p.downSendAt(par, t-1)
-	if m == -1 || (m >= v && m <= p.hi[v]) {
-		return -1
-	}
-	return m
-}
-
 // RoundAppend appends the transmissions of round t to dst (in the
 // network's original identifiers, destination sets sorted, transmissions
 // ordered by canonical sender) and returns the extended slice. The layout
@@ -315,8 +250,8 @@ func (p *Plan) RoundAppend(t int, dst []schedule.Transmission) []schedule.Transm
 
 // Timetable renders the per-vertex view of original vertex v in the layout
 // of the paper's Tables 1-4, bit-identical to schedule.VertexView over the
-// materialised schedule. Cost is O(rounds) closed-form evaluations — no
-// other vertex's transmissions are computed.
+// materialised schedule. Cost is O(rounds · log h) — no other vertex's
+// transmissions are computed.
 func (p *Plan) Timetable(v int) *schedule.VertexTimetable {
 	rounds := p.Rounds()
 	rows := rounds + 1
@@ -356,14 +291,17 @@ func (p *Plan) Timetable(v int) *schedule.VertexTimetable {
 	}
 
 	// Sends toward the children and receives from the parent: evaluate the
-	// Propagate-Down formulas round by round. A b-message owned by an only
-	// child has an empty owner-excluded destination set — no transmission
-	// happens (unless merged with an up-send, which never adds a child
+	// Propagate-Down rules on c's diagonal t - k, over a stack holding c's
+	// ancestors (c's own entry decides its sends; what it hears comes from
+	// the entries above it). A b-message owned by an only child has an
+	// empty owner-excluded destination set — no transmission happens
+	// (unless merged with an up-send, which never adds a child
 	// destination), so the SendChild row stays empty there.
+	s, x := p.stackOf(c), int(k)+1
 	if !p.isLeaf(c) {
 		onlyChild := p.childStart[c+1]-p.childStart[c] == 1
 		for t := 0; t < rounds; t++ {
-			if m := p.downSendAt(c, t); m != -1 {
+			if m := p.sendOn(s, x, x, int32(t)-k); m != -1 {
 				if onlyChild && p.owner(c, m) != -1 {
 					continue
 				}
@@ -373,7 +311,7 @@ func (p *Plan) Timetable(v int) *schedule.VertexTimetable {
 	}
 	if p.parent[c] >= 0 {
 		for t := 1; t <= rounds; t++ {
-			if m := p.arrivalAt(c, t); m != -1 {
+			if m := p.sendOn(s, x-1, x, int32(t)-k); m != -1 {
 				vt.RecvParent[t] = int(p.vertexOf[m])
 			}
 		}
